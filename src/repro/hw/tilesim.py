@@ -51,6 +51,29 @@ from .spike_encoder import SpikeEncoder
 # Fixed-point datapath inference
 # ----------------------------------------------------------------------
 
+#: Bits per limb when a product table is too wide for exact float64 sums.
+LIMB_BITS = 26
+
+
+def _exact_limbs(table: np.ndarray, fan_in: int) -> List[np.ndarray]:
+    """``table`` as float64 limbs whose ``fan_in``-term sums are exact.
+
+    A float64 holds every integer below 2**53, so a sum of at most
+    ``fan_in`` table entries is exact in any order while
+    ``max|table| * fan_in < 2**53``.  A wider table splits into base
+    2**LIMB_BITS limbs (``table == sum(limb_k << LIMB_BITS * k)``,
+    the top limb signed) that are summed separately and recombined in
+    int64.  Every layer the repo builds fits in one limb.
+    """
+    limbs = []
+    rest = table
+    while max(int(rest.max()), -int(rest.min())) * fan_in >= 1 << 53:
+        limbs.append(rest & ((1 << LIMB_BITS) - 1))
+        rest = rest >> LIMB_BITS
+    limbs.append(rest)
+    return [limb.astype(np.float64) for limb in limbs]
+
+
 @dataclass
 class FixedPointReport:
     """Outcome of a fixed-point run against the float reference."""
@@ -102,58 +125,93 @@ class FixedPointInference(SpikeTrainScheme):
         }
 
     # ------------------------------------------------------------------
+    def _product_table(self, times: np.ndarray, qt) -> np.ndarray:
+        """Eq. 17 evaluated once per (spike time, signed weight level).
+
+        ``times``: the distinct spike times a layer's input carries.
+        Returns a (len(times), 2L+2) int64 table: column ``1+k`` holds
+        the product with level ``k``, column ``L+2+k`` its negation, and
+        columns 0 and ``L+1`` the zero weight (code -1, which is also
+        every weight of an all-zero tensor, whose FSR has no log2).  A
+        product depends only on the spike time and the weight level, so
+        at T=24 with 5-bit weights the whole layer needs 24 x 15 PE
+        evaluations.
+        """
+        levels = qt.config.num_levels
+        table = np.zeros((len(times), 2, levels + 1), dtype=np.int64)
+        if qt.fsr > 0:
+            xc = self.pe.encode_log2(-times / self.snn.config.tau)
+            wc = self.pe.encode_log2(math.log2(qt.fsr) - qt.config.step
+                                     * np.arange(levels))
+            mags = self.pe.multiply(xc[:, None], wc[None, :], 1)
+            table[:, 0, 1:] = mags
+            table[:, 1, 1:] = -mags
+        return table.reshape(len(times), -1)
+
+    @staticmethod
+    def _table_columns(qt) -> np.ndarray:
+        """Each weight's column in :meth:`_product_table`, output axis
+        last: ``(in, out)`` for a linear layer, ``(C_in, K, K, C_out)``
+        for a conv layer."""
+        levels = qt.config.num_levels
+        dtype = np.min_scalar_type(-(2 * levels + 1))
+        columns = np.add(qt.codes, 1, dtype=dtype)
+        columns += (qt.signs < 0) * dtype.type(levels + 1)
+        return np.ascontiguousarray(np.moveaxis(columns, 0, -1))
+
     def _products_linear(self, times: np.ndarray, qt) -> np.ndarray:
         """Fixed-point PSP sums for a linear layer.
 
-        ``times``: (N, in) spike times.  Returns (N, out) accumulator
-        values (int64 at the PE scale).
+        ``times``: (N, in) spike times; a conv layer passes its im2col
+        unfolding, which its (C_out, C_in, K, K) weights flatten to
+        match.  Returns (N, out) accumulator values (int64 at the PE
+        scale).  For each spike time ``u``, the inputs firing at ``u``
+        form a 0/1 matrix and their weights' table entries at ``u`` a
+        matrix of integers; their float64 GEMM is an exact integer sum
+        (see :func:`_exact_limbs`), so the T GEMMs reproduce the PE's
+        integer accumulation bitwise.
         """
         n, d_in = times.shape
-        d_out = qt.codes.shape[0]
-        x_log2 = -times / self.snn.config.tau  # log2 of decoded inputs
-        fired = times != NO_SPIKE
-        w_log2 = qt.log2_magnitudes  # (out, in)
-        w_nonzero = qt.codes >= 0
-        acc = np.zeros((n, d_out), dtype=np.int64)
-        xc = self.pe.encode_log2(x_log2)
-        wc = self.pe.encode_log2(w_log2)
-        for j in range(d_out):
-            active = fired & w_nonzero[j][None, :]
-            if not active.any():
-                continue
-            prods = self.pe.multiply(
-                xc, np.broadcast_to(wc[j], xc.shape),
-                np.broadcast_to(qt.signs[j], xc.shape),
-            )
-            acc[:, j] = np.where(active, prods, 0).sum(axis=1)
+        columns = self._table_columns(qt).reshape(d_in, -1)
+        acc = np.zeros((n, columns.shape[1]), dtype=np.int64)
+        present = np.unique(times[times != NO_SPIKE])
+        if not len(present):
+            return acc
+        limbs = _exact_limbs(self._product_table(present, qt), d_in)
+        sums = [np.zeros(acc.shape) for _ in limbs]
+        for i, u in enumerate(present):
+            at_u = times == u
+            inputs = np.flatnonzero(at_u.any(axis=0))
+            onehot = at_u[:, inputs].astype(np.float64)
+            cols = columns[inputs]
+            for limb, total in zip(limbs, sums):
+                total += onehot @ limb[i].take(cols)
+        for k, total in enumerate(sums):
+            acc += total.astype(np.int64) << (LIMB_BITS * k)
         return acc
 
     def _products_linear_events(self, stream: EventStream,
                                 qt) -> np.ndarray:
         """Event-driven fixed-point PSP sums for a linear layer.
 
-        Same integer products as :meth:`_products_linear`, but computed
-        as a scatter over only the spikes that occurred — and since the
-        accumulator arithmetic is integer, the two paths are *bitwise*
-        identical, not merely close.
+        Same integer products as :meth:`_products_linear`, read from the
+        same table, but scattered over only the spikes that occurred —
+        and since the accumulator arithmetic is integer, the two paths
+        are *bitwise* identical, not merely close.
         """
         n, d_in = stream.shape
-        d_out = qt.codes.shape[0]
-        acc = np.zeros((n, d_out), dtype=np.int64)
+        columns = self._table_columns(qt)
+        acc = np.zeros((n, columns.shape[1]), dtype=np.int64)
         if not stream.num_events:
             return acc
         sample, j = stream.unravel()
-        xc = self.pe.encode_log2(-stream.times / self.snn.config.tau)
-        wc = self.pe.encode_log2(qt.log2_magnitudes)
-        w_nonzero = qt.codes >= 0
+        present, u = np.unique(stream.times, return_inverse=True)
+        table = self._product_table(present, qt)
         # chunk the (events x outputs) product block to bound memory;
         # the scatter itself is the engine's shared segment-sum kernel
-        for sl in scatter_chunks(stream.num_events, d_out):
-            js = j[sl]
-            prods = self.pe.multiply(xc[sl][:, None], wc[:, js].T,
-                                     qt.signs[:, js].T)
+        for sl in scatter_chunks(stream.num_events, columns.shape[1]):
             scatter_add_rows(acc, sample[sl],
-                             np.where(w_nonzero[:, js].T, prods, 0))
+                             table[u[sl][:, None], columns[j[sl]]])
         return acc
 
     def _products_conv_events(self, stream: EventStream, qt,
@@ -161,8 +219,9 @@ class FixedPointInference(SpikeTrainScheme):
                               plan=None) -> np.ndarray:
         """Event-driven fixed-point PSP sums for a conv layer.
 
-        Each spike event scatters its integer products through the K*K
-        kernel offsets that cover it (the integer twin of
+        Each spike event scatters its integer products (read from the
+        layer's product table) through the K*K kernel offsets that cover
+        it (the integer twin of
         :func:`~repro.engine.executor.integrate_events`) — no dense
         unfolding, so the cost tracks the event count.  Integer
         accumulation makes it bitwise-identical to the im2col path.
@@ -177,9 +236,9 @@ class FixedPointInference(SpikeTrainScheme):
             return (acc.reshape(n_out, oh, ow, c_out)
                     .transpose(0, 3, 1, 2))
         n, c, y, x = stream.unravel()
-        xc = self.pe.encode_log2(-stream.times / self.snn.config.tau)
-        wc = self.pe.encode_log2(qt.log2_magnitudes)
-        w_nonzero = qt.codes >= 0
+        present, u = np.unique(stream.times, return_inverse=True)
+        table = self._product_table(present, qt)
+        columns = self._table_columns(qt)
         if plan is not None:
             coverage = ((ky, kx, ok, n[ok] * (oh * ow) + cells)
                         for ky, kx, ok, cells
@@ -191,15 +250,11 @@ class FixedPointInference(SpikeTrainScheme):
                             spec.padding, oh, ow))
         for ky, kx, ok, rows in coverage:
             cs = c[ok]
-            xt = xc[ok]
+            us = u[ok]
             for sl in scatter_chunks(len(rows), c_out):
-                css = cs[sl]
-                prods = self.pe.multiply(xt[sl][:, None],
-                                         wc[:, css, ky, kx].T,
-                                         qt.signs[:, css, ky, kx].T)
                 scatter_add_rows(acc, rows[sl],
-                                 np.where(w_nonzero[:, css, ky, kx].T,
-                                          prods, 0))
+                                 table[us[sl][:, None],
+                                       columns[cs[sl], ky, kx]])
         return acc.reshape(n_out, oh, ow, c_out).transpose(0, 3, 1, 2)
 
     def _products_conv(self, times: np.ndarray, qt,
@@ -212,15 +267,7 @@ class FixedPointInference(SpikeTrainScheme):
         shifted = np.where(times == NO_SPIKE, 0, times + 1).astype(np.float64)
         cols, (oh, ow) = im2col(shifted, k, spec.stride, spec.padding)
         col_times = np.where(cols == 0, NO_SPIKE, cols - 1)
-        flat_qt_codes = qt.codes.reshape(qt.codes.shape[0], -1)
-        # Reuse the linear path on the unfolded matrix.
-        class _Q:  # minimal view with the fields _products_linear needs
-            codes = flat_qt_codes
-            signs = qt.signs.reshape(qt.signs.shape[0], -1)
-            log2_magnitudes = qt.log2_magnitudes.reshape(
-                qt.codes.shape[0], -1)
-
-        acc = self._products_linear(col_times, _Q)
+        acc = self._products_linear(col_times, qt)
         c_out = qt.codes.shape[0]
         return acc.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 

@@ -1,0 +1,165 @@
+"""The fixed-point product kernels against the per-output PE oracle.
+
+``FixedPointInference`` evaluates Eq. 17 once per (spike time, weight
+level) and sums through exact float64 GEMMs (dense) or integer scatters
+(event).  Every accumulator must equal the per-output-channel oracle in
+:mod:`tests.hw.fixed_point_oracle` bitwise.
+"""
+
+import copy
+import gc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cat import CATConfig
+from repro.cat.convert import ConvertedSNN, LayerSpec
+from repro.cat.kernels import NO_SPIKE
+from repro.engine import executor
+from repro.events import EventStream
+from repro.hw import FixedPointInference
+from repro.hw.tilesim import LIMB_BITS, _exact_limbs
+from repro.targets.pynn import compile_netlist, execute_netlist
+
+from . import fixed_point_oracle as oracle
+
+
+def _scheme(spec: LayerSpec, window: int, tau: float,
+            precision_bits: int) -> FixedPointInference:
+    snn = ConvertedSNN(layers=[spec], config=CATConfig(window=window,
+                                                       tau=tau))
+    return FixedPointInference(snn, precision_bits=precision_bits)
+
+
+def _times(rng, shape, window: int, fired: str) -> np.ndarray:
+    times = rng.integers(0, window, shape).astype(np.float64)
+    if fired == "none":
+        return np.full(shape, float(NO_SPIKE))
+    if fired == "some":
+        times[rng.random(shape) < 0.5] = NO_SPIKE
+    return times
+
+
+def _weight(rng, shape, scale: float) -> np.ndarray:
+    """Random weights with FSR ~ ``scale`` (0: the all-zero tensor)."""
+    w = rng.normal(0.0, 1.0, shape) * scale
+    w[rng.random(shape) < 0.2] = 0.0
+    return w.astype(np.float32)
+
+
+design = dict(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 4),
+    window=st.sampled_from([4, 12, 24]),
+    tau=st.sampled_from([1.0, 2.0, 4.0]),
+    scale=st.sampled_from([0.0, 0.3, 4.0]),
+    fired=st.sampled_from(["all", "none", "some"]),
+    # 56 bits makes the table too wide for one exact float64 limb
+    precision_bits=st.sampled_from([12, 16, 56]),
+)
+
+
+@given(d_in=st.integers(1, 48), d_out=st.integers(1, 24), **design)
+@settings(max_examples=60, deadline=None)
+def test_linear_products_equal_oracle(d_in, d_out, seed, n, window, tau,
+                                      scale, fired, precision_bits):
+    rng = np.random.default_rng(seed)
+    spec = LayerSpec("linear", weight=_weight(rng, (d_out, d_in), scale),
+                     bias=np.zeros(d_out, dtype=np.float32))
+    fp = _scheme(spec, window, tau, precision_bits)
+    qt = fp._quantized[id(spec)]
+    times = _times(rng, (n, d_in), window, fired)
+    want = oracle.linear_products(fp.pe, tau, times, qt)
+    np.testing.assert_array_equal(fp._products_linear(times, qt), want)
+    stream = EventStream.from_dense(times, window)
+    np.testing.assert_array_equal(fp._products_linear_events(stream, qt),
+                                  want)
+
+
+@given(c_in=st.integers(1, 4), c_out=st.integers(1, 6),
+       size=st.integers(3, 7), kernel=st.sampled_from([1, 3]),
+       stride=st.sampled_from([1, 2]), padding=st.sampled_from([0, 1]),
+       **design)
+@settings(max_examples=60, deadline=None)
+def test_conv_products_equal_oracle(c_in, c_out, size, kernel, stride,
+                                    padding, seed, n, window, tau, scale,
+                                    fired, precision_bits):
+    rng = np.random.default_rng(seed)
+    spec = LayerSpec("conv",
+                     weight=_weight(rng, (c_out, c_in, kernel, kernel),
+                                    scale),
+                     bias=np.zeros(c_out, dtype=np.float32), stride=stride,
+                     padding=padding, kernel_size=kernel)
+    fp = _scheme(spec, window, tau, precision_bits)
+    qt = fp._quantized[id(spec)]
+    times = _times(rng, (n, c_in, size, size), window, fired)
+    want = oracle.conv_products(fp.pe, tau, times, qt, stride, padding)
+    np.testing.assert_array_equal(fp._products_conv(times, qt, spec), want)
+    stream = EventStream.from_dense(times, window)
+    np.testing.assert_array_equal(
+        fp._products_conv_events(stream, qt, spec), want)
+
+
+def test_wide_table_splits_into_limbs():
+    """At 56 precision bits a table entry nears 2**57: the GEMMs run on
+    split limbs and still match the oracle bitwise."""
+    rng = np.random.default_rng(3)
+    spec = LayerSpec("linear", weight=_weight(rng, (8, 64), 4.0),
+                     bias=np.zeros(8, dtype=np.float32))
+    fp = _scheme(spec, 24, 4.0, 56)
+    qt = fp._quantized[id(spec)]
+    times = _times(rng, (3, 64), 24, "all")
+    table = fp._product_table(np.unique(times), qt)
+    limbs = _exact_limbs(table, 64)
+    assert len(limbs) > 1
+    np.testing.assert_array_equal(
+        sum(limb.astype(np.int64) << (LIMB_BITS * k) for k, limb in
+            enumerate(limbs)), table)
+    np.testing.assert_array_equal(fp._products_linear(times, qt),
+                                  oracle.linear_products(fp.pe, 4.0, times,
+                                                         qt))
+
+
+def test_narrow_table_is_one_limb():
+    table = np.array([[(1 << 40) - 1, -(1 << 40)]], dtype=np.int64)
+    assert len(_exact_limbs(table, 1 << 12)) == 1
+    assert len(_exact_limbs(table, 1 << 13)) == 2
+
+
+def test_conv_weight_layer_leaves_no_garbage(converted_micro, tiny_dataset):
+    """A conv layer frees everything it allocates by reference count: no
+    reference cycle keeps a weight-sized temporary alive until the next
+    cyclic collection."""
+    fp = FixedPointInference(converted_micro)
+    spec = converted_micro.weight_layers[0]
+    assert spec.kind == "conv"
+    ctx = executor.ExecutionContext()
+    train = fp.encode_input(tiny_dataset.test_x[:2], ctx)
+    gc.collect()
+    gc.disable()
+    try:
+        fp.weight_layer(spec, train, ctx)
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("zeroed", [None, 1])
+def test_readout_agrees_across_formulations(converted_micro, tiny_dataset,
+                                            zeroed):
+    """Dense, event and the pyNN interpreter's own per-output loop agree
+    on the readout bitwise, also when a hidden weight layer is all zero
+    (FSR 0: the layer contributes only its bias)."""
+    snn = copy.deepcopy(converted_micro)
+    if zeroed is not None:
+        hidden = snn.weight_layers[zeroed]
+        hidden.weight = np.zeros_like(hidden.weight)
+    x = tiny_dataset.test_x[:6]
+    dense = executor.run_pipeline(FixedPointInference(snn), x)
+    event = executor.run_pipeline(FixedPointInference(snn, backend="event"),
+                                  x)
+    netlist = compile_netlist(snn, "fixed-point", x.shape[1:])
+    np.testing.assert_array_equal(dense, event)
+    np.testing.assert_array_equal(dense, execute_netlist(netlist, x))
