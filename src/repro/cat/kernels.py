@@ -30,6 +30,7 @@ import numpy as np
 # The no-fire sentinel lives with the event-stream representation (the
 # package's bottom layer); re-exported here for every kernel consumer.
 from ..events import NO_SPIKE
+from ..threads import map_images
 
 #: Log-domain snap tolerance: values within 2**(TOL/tau) of a grid point
 #: count as on-grid.  Sized for float32 inputs (eps ~1.2e-7 perturbs the
@@ -61,28 +62,38 @@ class Base2Kernel:
     def spike_time(self, x, theta0: float = 1.0, window: int | None = None):
         """First integer step ``dt >= 0`` with ``x >= theta0 * kappa(dt)``.
 
-        Vectorised; returns ``NO_SPIKE`` where the value never crosses the
-        threshold inside ``window`` steps (i.e. x < theta0 * kappa(window)).
+        Vectorised, over image slices on every allowed core; returns
+        ``NO_SPIKE`` where the value never crosses the threshold inside
+        ``window`` steps (i.e. x < theta0 * kappa(window)).
         """
-        x = np.asarray(x, dtype=np.float64)
-        positive = x > 0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            raw = self.tau * np.log(theta0 / np.where(positive, x, 1.0)) / math.log(self.base)
-        dt = np.ceil(raw - GRID_SNAP_TOL)  # on-grid values (incl. float32-rounded) fire on time
-        dt = np.maximum(dt, 0.0)
-        finite = np.isfinite(dt)
-        out = np.where(finite, dt, 0).astype(np.int64)
-        no_fire = ~positive | ~finite
-        if window is not None:
-            no_fire |= out > window
-        out = np.where(no_fire, NO_SPIKE, out)
-        return out
+        x = np.asarray(x)
+
+        def fire(values):
+            values = np.asarray(values, dtype=np.float64)
+            positive = values > 0
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                raw = self.tau * np.log(theta0 / np.where(positive, values, 1.0)) / math.log(self.base)
+            dt = np.ceil(raw - GRID_SNAP_TOL)  # on-grid values (incl. float32-rounded) fire on time
+            dt = np.maximum(dt, 0.0)
+            finite = np.isfinite(dt)
+            out = np.where(finite, dt, 0).astype(np.int64)
+            no_fire = ~positive | ~finite
+            if window is not None:
+                no_fire |= out > window
+            return np.where(no_fire, NO_SPIKE, out)
+
+        return map_images(fire, x, x.shape, np.int64)
 
     def decode(self, dt, theta0: float = 1.0) -> np.ndarray:
-        """Value represented by a spike at relative time ``dt`` (Eq. 7 integrand)."""
+        """Value represented by a spike at relative time ``dt`` (Eq. 7
+        integrand), over image slices on every allowed core."""
         dt = np.asarray(dt)
-        vals = theta0 * self.value(np.maximum(dt, 0))
-        return np.where(dt == NO_SPIKE, 0.0, vals)
+
+        def value(times):
+            vals = theta0 * self.value(np.maximum(times, 0))
+            return np.where(times == NO_SPIKE, 0.0, vals)
+
+        return map_images(value, dt, dt.shape, np.float64)
 
     def grid(self, window: int, theta0: float = 1.0) -> np.ndarray:
         """All representable values within a window, descending (dt = 0..window)."""

@@ -26,6 +26,7 @@ acyclic (tensor / cat.kernels -> engine -> snn / hw).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -34,6 +35,7 @@ import numpy as np
 from ..cat.kernels import NO_SPIKE
 from ..events import EventStream, conv_offset_coverage, scatter_chunks
 from ..tensor import Tensor, avg_pool2d, conv2d as conv2d_op, max_pool2d
+from ..threads import map_images
 from .plan import scatter_add_rows
 
 #: Membranes exactly on-threshold fire (float guard of the fire phase).
@@ -69,12 +71,30 @@ def validate_backend(name: str) -> str:
 # ----------------------------------------------------------------------
 
 def affine(spec, x: np.ndarray, include_bias: bool = True) -> np.ndarray:
-    """The layer's affine map ``W x (+ b)`` for conv and linear specs."""
+    """The layer's affine map ``W x (+ b)`` for conv and linear specs.
+
+    Conv layers run over image slices on every allowed core when BLAS
+    runs on one thread (:func:`~repro.threads.map_images`); linear
+    layers run whole, since their GEMM rounds differently at 1-3 rows.
+    """
     if spec.kind == "conv":
+        weight = Tensor(spec.weight)
         bias = Tensor(spec.bias) if include_bias else None
-        out = conv2d_op(Tensor(x), Tensor(spec.weight), bias,
-                        spec.stride, spec.padding).data
-        return out.astype(np.float64, copy=False)
+        n, c_out, oh, ow = output_shape(spec, x.shape)
+
+        def conv(images):
+            out = conv2d_op(Tensor(images), weight, bias, spec.stride,
+                            spec.padding).data
+            return out.transpose(0, 2, 3, 1)  # the GEMM's (N, OH, OW, C)
+
+        # each image is oh * ow GEMM rows; slices start on a multiple of
+        # 16 rows so BLAS tiles every row as in the whole batch, and
+        # one-row images (a GEMV each) never split
+        rows = oh * ow
+        unit = 16 // math.gcd(16, rows) if rows > 1 else max(n, 1)
+        out = map_images(conv, x, (n, oh, ow, c_out), np.float64,
+                         blas=True, unit=unit)
+        return out.transpose(0, 3, 1, 2).astype(np.float64, copy=False)
     out = x @ spec.weight.T
     if include_bias:
         out = out + spec.bias
@@ -132,23 +152,27 @@ def pool_times(spec, train):
 
     Under TTFS coding the maximum value corresponds to the minimum spike
     time, so spatial max-pooling is a windowed min over fire times
-    (``NO_SPIKE`` treated as +inf).
+    (``NO_SPIKE`` treated as +inf).  Runs over image slices on every
+    allowed core.
     """
     from ..snn.spikes import SpikeTrain
 
-    times = train.times
-    n, c, h, w = times.shape
+    n, c, h, w = train.times.shape
     k, s = spec.kernel_size, spec.stride
     oh = (h - k) // s + 1
     ow = (w - k) // s + 1
-    big = np.where(times == NO_SPIKE, np.iinfo(np.int64).max, times)
-    sn, sc, sh, sw = big.strides
-    view = np.lib.stride_tricks.as_strided(
-        big, shape=(n, c, oh, ow, k, k),
-        strides=(sn, sc, sh * s, sw * s, sh, sw), writeable=False,
-    )
-    pooled = view.min(axis=(4, 5))
-    pooled = np.where(pooled == np.iinfo(np.int64).max, NO_SPIKE, pooled)
+
+    def earliest(times):
+        big = np.where(times == NO_SPIKE, np.iinfo(np.int64).max, times)
+        sn, sc, sh, sw = big.strides
+        view = np.lib.stride_tricks.as_strided(
+            big, shape=(len(times), c, oh, ow, k, k),
+            strides=(sn, sc, sh * s, sw * s, sh, sw), writeable=False,
+        )
+        pooled = view.min(axis=(4, 5))
+        return np.where(pooled == np.iinfo(np.int64).max, NO_SPIKE, pooled)
+
+    pooled = map_images(earliest, train.times, (n, c, oh, ow), np.int64)
     return SpikeTrain(pooled, train.window)
 
 

@@ -31,17 +31,17 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
 import numpy as np
 
 from ..obs import get_registry
+from ..threads import set_threads
 from .cache import ResultCache, run_key, scheme_digest
 from .executor import validate_backend
 from .registry import create_scheme
-from .runner import chunk_bounds, record_chunk_metrics, streamed_accuracy
+from .runner import chunk_bounds, run_recorded, streamed_accuracy
 
 
 @dataclass
@@ -92,8 +92,14 @@ _WORKER_STATE = None
 
 
 def init_worker_state(spec) -> None:
-    """Pool initializer: build ``spec`` (anything with ``.build()``)."""
+    """Pool initializer: build ``spec`` (anything with ``.build()``).
+
+    Also pins the engine's image-slicing pool to one thread: the pool's
+    processes already occupy the cores, and N processes each splitting
+    across N threads would only contend.
+    """
     global _WORKER_STATE
+    set_threads(1)
     _WORKER_STATE = spec.build()
 
 
@@ -121,13 +127,9 @@ def _run_chunk(chunk: np.ndarray):
     the payload free under a :class:`~repro.obs.NullRegistry`.
     """
     registry = get_registry()
-    if not registry.enabled:
-        return worker_state().run(chunk), None
-    t0 = time.perf_counter()
-    result = worker_state().run(chunk)
-    record_chunk_metrics(registry, worker_state(), len(chunk),
-                         time.perf_counter() - t0, result)
-    return result, registry.snapshot(reset=True)
+    result = run_recorded(worker_state(), chunk, registry)
+    return result, (registry.snapshot(reset=True) if registry.enabled
+                    else None)
 
 
 class ParallelRunner:
@@ -216,17 +218,8 @@ class ParallelRunner:
             return []
         registry = get_registry()
         if self.workers == 1 or len(chunks) == 1:
-            results = []
-            for chunk in chunks:
-                if not registry.enabled:
-                    results.append(self.scheme.run(chunk))
-                    continue
-                t0 = time.perf_counter()
-                result = self.scheme.run(chunk)
-                record_chunk_metrics(registry, self.scheme, len(chunk),
-                                     time.perf_counter() - t0, result)
-                results.append(result)
-            return results
+            return [run_recorded(self.scheme, chunk, registry)
+                    for chunk in chunks]
         pairs = self._ensure_pool().map(_run_chunk, chunks)
         for _, delta in pairs:
             if delta is not None:

@@ -108,6 +108,23 @@ def record_chunk_metrics(registry: MetricsRegistry, scheme: Any,
             backend_runs.inc(1, layer=trace.name, backend=trace.backend)
 
 
+def run_recorded(scheme: Any, chunk: np.ndarray,
+                 registry: MetricsRegistry) -> Any:
+    """``scheme.run(chunk)``, timed into ``registry`` when it is enabled.
+
+    The one timed-run block behind every runner: the serial
+    :class:`PipelineRunner`, the serial fallback of
+    :class:`~repro.engine.parallel.ParallelRunner` and its pool workers.
+    """
+    if not registry.enabled:
+        return scheme.run(chunk)
+    t0 = time.perf_counter()
+    result = scheme.run(chunk)
+    record_chunk_metrics(registry, scheme, len(chunk),
+                         time.perf_counter() - t0, result)
+    return result
+
+
 def result_predictions(result: Any) -> np.ndarray:
     """Class predictions of any scheme result (method or array field)."""
     preds = result.predictions
@@ -163,28 +180,16 @@ class PipelineRunner:
         """
         registry = self.registry if self.registry is not None \
             else get_registry()
-        if (self.backend is None
-                or getattr(self.scheme, "backend", self.backend)
-                == self.backend):
-            if not registry.enabled:
-                return self.scheme.run(chunk)
-            t0 = time.perf_counter()
-            result = self.scheme.run(chunk)
-            record_chunk_metrics(registry, self.scheme, len(chunk),
-                                 time.perf_counter() - t0, result)
-            return result
-        previous = self.scheme.backend
-        self.scheme.backend = self.backend
+        swap = (self.backend is not None
+                and getattr(self.scheme, "backend", self.backend)
+                != self.backend)
+        if swap:
+            previous, self.scheme.backend = self.scheme.backend, self.backend
         try:
-            if not registry.enabled:
-                return self.scheme.run(chunk)
-            t0 = time.perf_counter()
-            result = self.scheme.run(chunk)
-            record_chunk_metrics(registry, self.scheme, len(chunk),
-                                 time.perf_counter() - t0, result)
-            return result
+            return run_recorded(self.scheme, chunk, registry)
         finally:
-            self.scheme.backend = previous
+            if swap:
+                self.scheme.backend = previous
 
     def run(self, images: np.ndarray) -> Any:
         """Simulate the whole batch; returns one aggregated result."""

@@ -175,9 +175,12 @@ class MicroBatcher:
             pending = self._collect()
             if not pending:
                 return
-            batch = np.stack([image for image, _, _ in pending])
             t_dispatch = time.monotonic()
             try:
+                # inside the try: images of different shapes must fail
+                # their own batch, not kill this thread (and with it
+                # every later request on the channel)
+                batch = np.stack([image for image, _, _ in pending])
                 result = self.predict_fn(batch)
             except Exception as exc:     # noqa: BLE001 — fan the error out
                 for _, future, _ in pending:

@@ -132,6 +132,7 @@ class WorkerPool:
         self.backend = validate_backend(spec.backend or artifact.backend)
         self.max_batch = int(spec.max_batch if spec.max_batch is not None
                              else artifact.max_batch)
+        self.input_shape = artifact.input_shape
         ctx = multiprocessing.get_context(start_method)
         self._pool = ctx.Pool(workers, initializer=init_worker_state,
                               initargs=(spec,))

@@ -154,6 +154,7 @@ class _ModelChannel:
                 start_method=server.start_method)
             self.scheme_name = self._pool.scheme_name
             self.backend = self._pool.backend
+            self.input_shape = self._pool.input_shape
         else:
             self._session = InferenceSession(
                 path, scheme=server.scheme, backend=server.backend,
@@ -166,6 +167,7 @@ class _ModelChannel:
                                                  "worker": "0"})
             self.scheme_name = self._session.scheme_name
             self.backend = self._session.backend
+            self.input_shape = self._session.artifact.input_shape
 
     # ------------------------------------------------------------------
     def _submit_one(self, image):
@@ -458,6 +460,9 @@ class PredictionServer:
             return 400, {"error": "inputs must be one CHW image or a "
                                   f"non-empty NCHW batch, got shape "
                                   f"{inputs.shape}"}
+        if not np.isfinite(inputs).all():
+            # json.loads accepts NaN and Infinity
+            return 400, {"error": "inputs must be finite numbers"}
         t0 = time.perf_counter()
         # a submit can race a hot-reload retiring its channel; the
         # retry re-resolves and lands on the replacement, so a deploy
@@ -475,6 +480,14 @@ class PredictionServer:
                 message = exc.args[0] if isinstance(exc, KeyError) else exc
                 return 400, {"error": f"cannot open a session for "
                                       f"{spec!r}: {message}"}
+            expected = channel.input_shape
+            if expected is not None and inputs.shape[1:] != expected:
+                # checked before queueing: a batcher stacks requests
+                # together, so one wrong shape would fail its neighbours
+                return 400, {"error": f"inputs must be images of shape "
+                                      f"{list(expected)} (C, H, W) for "
+                                      f"{spec!r}, got "
+                                      f"{list(inputs.shape[1:])}"}
             try:
                 futures = channel.submit_many(inputs)
                 break

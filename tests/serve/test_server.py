@@ -136,6 +136,20 @@ class TestMicroBatcher:
                 except BatcherClosed:
                     pass                  # failed loudly: acceptable
 
+    def test_mismatched_shapes_fail_their_batch_not_the_batcher(self):
+        # two coalesced images np.stack cannot join: the batch fails,
+        # and the dispatcher thread lives on to serve the next one
+        with MicroBatcher(lambda b: _FakeResult(b), max_batch=4,
+                          max_wait_s=0.5) as batcher:
+            futures = [batcher.submit(np.zeros((3, 8, 8))),
+                       batcher.submit(np.zeros((3, 4, 4)))]
+            for future in futures:
+                with pytest.raises(ValueError):
+                    future.result(timeout=10)
+            later = batcher.submit(np.zeros((3, 8, 8)))
+            class_id, _ = later.result(timeout=10)
+            assert class_id == 0
+
     def test_pending_counts_unresolved_items(self):
         release = threading.Event()
 
@@ -215,9 +229,46 @@ class TestPredictionServer:
         status, body = server.handle_predict([1, 2, 3])
         assert status == 400 and "JSON object" in body["error"]
 
+    def test_non_finite_inputs_are_400s(self, server):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            image = np.zeros((3, 8, 8))
+            image[1, 2, 3] = bad
+            status, body = server.handle_predict(
+                {"model": "micro", "inputs": image.tolist()})
+            assert status == 400 and "finite" in body["error"]
+
+    def test_wrong_image_shape_is_400(self, server):
+        status, body = server.handle_predict(
+            {"model": "micro", "inputs": np.zeros((3, 4, 4)).tolist()})
+        assert status == 400
+        assert "[3, 8, 8]" in body["error"] and "[3, 4, 4]" in body["error"]
+
     def test_unreachable_server_message(self):
         with pytest.raises(ServerError, match="cannot reach"):
             server_health("http://127.0.0.1:1", timeout=1)
+
+
+class TestBatchIsolation:
+    def test_valid_request_survives_a_wrong_shape_neighbour(
+            self, micro_registry, tiny_dataset):
+        # a long coalescing window puts both requests in one micro-batch
+        # unless the bad one is turned away before it queues
+        good = {"model": "micro", "inputs": tiny_dataset.test_x[:1].tolist()}
+        bad = {"model": "micro", "inputs": np.zeros((1, 3, 4, 4)).tolist()}
+        with PredictionServer(micro_registry, port=0,
+                              batch_wait_s=0.5) as srv:
+            srv.handle_predict(good)          # open the channel first
+            pool = ThreadPoolExecutor(2)
+            try:
+                futures = [pool.submit(srv.handle_predict, payload)
+                           for payload in (good, bad)]
+                (good_status, _), (bad_status, _) = [
+                    f.result(timeout=30) for f in futures]
+            finally:
+                pool.shutdown(wait=False)
+            assert (good_status, bad_status) == (200, 400)
+            status, _ = srv.handle_predict(good)
+            assert status == 200
 
 
 class TestCounterThreadSafety:
