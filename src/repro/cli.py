@@ -521,13 +521,19 @@ def _cmd_serve(args) -> int:
         print("repro serve: error: --max-queue must be >= 0 "
               "(0 = unbounded)", file=sys.stderr)
         return 2
+    if args.max_body_bytes is not None and args.max_body_bytes < 1:
+        print("repro serve: error: --max-body-bytes must be >= 1",
+              file=sys.stderr)
+        return 2
+    limits = ({} if args.max_body_bytes is None
+              else {"max_body_bytes": args.max_body_bytes})
     server = PredictionServer(
         registry, host=args.host, port=args.port,
         scheme=args.scheme or None, backend=args.backend or None,
         max_batch=args.max_batch or None,
         batch_wait_s=args.batch_wait_ms / 1000.0,
         workers=args.workers, max_queue=args.max_queue,
-        mmap=args.mmap)
+        mmap=args.mmap, **limits)
     server.start()
     fleet = (f"{args.workers} worker process(es) per model, mmap'd "
              "bundles" if args.workers else "in-process sessions")
@@ -915,6 +921,10 @@ def _add_serve_parser(sub) -> None:
     p.add_argument("--mmap", action="store_true",
                    help="memory-map bundle weights even for in-process "
                         "sessions (implied by --workers)")
+    p.add_argument("--max-body-bytes", type=int, default=None,
+                   help="largest POST /predict body accepted, in bytes "
+                        "(default 16 MiB); longer ones are refused with "
+                        "HTTP 413")
     p.set_defaults(fn=_cmd_serve)
 
 

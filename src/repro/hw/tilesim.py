@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from .. import threads
 from ..cat.convert import ConvertedSNN, LayerSpec
 from ..cat.kernels import NO_SPIKE, Base2Kernel
 from ..engine import executor
@@ -76,11 +77,46 @@ def _exact_limbs(table: np.ndarray, fan_in: int) -> List[np.ndarray]:
 
 @dataclass
 class FixedPointReport:
-    """Outcome of a fixed-point run against the float reference."""
+    """Outcome of a fixed-point run against the float reference.
+
+    The reference fields cost a float forward pass over the run's
+    images that serving never reads, so a run leaves them to
+    :meth:`deferred`: the first read of ``reference_predictions``,
+    ``max_membrane_drift`` or ``agreement`` computes both, chunk by
+    chunk as the run saw the images, to the values an eager run gives.
+    Pickling and the result cache read every field, so the reports they
+    carry hold the values.
+    """
 
     predictions: np.ndarray
     reference_predictions: np.ndarray
     max_membrane_drift: float
+
+    @classmethod
+    def deferred(cls, predictions: np.ndarray,
+                 reference: Callable[[], Tuple[np.ndarray, float]]
+                 ) -> "FixedPointReport":
+        """A report whose reference fields ``reference()`` returns, as
+        ``(reference_predictions, max_membrane_drift)``, on first read."""
+        report = cls.__new__(cls)
+        report.predictions = predictions
+        report._reference = reference
+        return report
+
+    def __getattr__(self, name):
+        # reached only for attributes not set yet: the deferred fields
+        reference = self.__dict__.get("_reference")
+        if reference is None or name not in ("reference_predictions",
+                                             "max_membrane_drift"):
+            raise AttributeError(name)
+        self.reference_predictions, self.max_membrane_drift = reference()
+        self.__dict__.pop("_reference", None)
+        return getattr(self, name)
+
+    def __getstate__(self):
+        # the pending thunk holds the network and the images: resolve
+        self.max_membrane_drift
+        return self.__dict__
 
     @property
     def agreement(self) -> float:
@@ -123,6 +159,10 @@ class FixedPointInference(SpikeTrainScheme):
             id(spec): quantize_tensor(spec.weight, self.weight_config)
             for spec in snn.layers if spec.is_weight_layer
         }
+        # every call reads each weight's table column: build them once,
+        # keyed by the quantised tensor (which lives as long as self)
+        self._columns = {id(qt): self._table_columns(qt)
+                         for qt in self._quantized.values()}
 
     # ------------------------------------------------------------------
     def _product_table(self, times: np.ndarray, qt) -> np.ndarray:
@@ -170,24 +210,34 @@ class FixedPointInference(SpikeTrainScheme):
         matrix of integers; their float64 GEMM is an exact integer sum
         (see :func:`_exact_limbs`), so the T GEMMs reproduce the PE's
         integer accumulation bitwise.
+
+        Every partial sum of those terms is exact too, so the spike
+        times split into groups (:func:`repro.threads.map_groups`), one
+        per thread, that each sum their own GEMMs; the groups' sums add
+        up in int64 to the same accumulator in any grouping.
         """
         n, d_in = times.shape
-        columns = self._table_columns(qt).reshape(d_in, -1)
+        columns = self._columns[id(qt)].reshape(d_in, -1)
         acc = np.zeros((n, columns.shape[1]), dtype=np.int64)
         present = np.unique(times[times != NO_SPIKE])
         if not len(present):
             return acc
         limbs = _exact_limbs(self._product_table(present, qt), d_in)
-        sums = [np.zeros(acc.shape) for _ in limbs]
-        for i, u in enumerate(present):
-            at_u = times == u
-            inputs = np.flatnonzero(at_u.any(axis=0))
-            onehot = at_u[:, inputs].astype(np.float64)
-            cols = columns[inputs]
-            for limb, total in zip(limbs, sums):
-                total += onehot @ limb[i].take(cols)
-        for k, total in enumerate(sums):
-            acc += total.astype(np.int64) << (LIMB_BITS * k)
+
+        def group(indices) -> List[np.ndarray]:
+            sums = [np.zeros(acc.shape) for _ in limbs]
+            for i in indices:
+                at_u = times == present[i]
+                inputs = np.flatnonzero(at_u.any(axis=0))
+                onehot = at_u[:, inputs].astype(np.float64)
+                cols = columns[inputs]
+                for limb, total in zip(limbs, sums):
+                    total += onehot @ limb[i].take(cols)
+            return sums
+
+        for sums in threads.map_groups(group, len(present)):
+            for k, total in enumerate(sums):
+                acc += total.astype(np.int64) << (LIMB_BITS * k)
         return acc
 
     def _products_linear_events(self, stream: EventStream,
@@ -200,7 +250,7 @@ class FixedPointInference(SpikeTrainScheme):
         are *bitwise* identical, not merely close.
         """
         n, d_in = stream.shape
-        columns = self._table_columns(qt)
+        columns = self._columns[id(qt)]
         acc = np.zeros((n, columns.shape[1]), dtype=np.int64)
         if not stream.num_events:
             return acc
@@ -238,7 +288,7 @@ class FixedPointInference(SpikeTrainScheme):
         n, c, y, x = stream.unravel()
         present, u = np.unique(stream.times, return_inverse=True)
         table = self._product_table(present, qt)
-        columns = self._table_columns(qt)
+        columns = self._columns[id(qt)]
         if plan is not None:
             coverage = ((ky, kx, ok, n[ok] * (oh * ow) + cells)
                         for ky, kx, ok, cells
@@ -322,21 +372,23 @@ class FixedPointInference(SpikeTrainScheme):
     # ------------------------------------------------------------------
     def run(self, images: np.ndarray) -> FixedPointReport:
         output = executor.run_pipeline(self, images)
-        reference = self.snn.forward_value(images)
-        drift = float(np.max(np.abs(output - reference))) if output.size else 0.0
-        return FixedPointReport(
-            predictions=output.argmax(axis=1),
-            reference_predictions=reference.argmax(axis=1),
-            max_membrane_drift=drift,
-        )
+
+        def reference():
+            value = self.snn.forward_value(images)
+            drift = (float(np.max(np.abs(output - value))) if output.size
+                     else 0.0)
+            return value.argmax(axis=1), drift
+
+        return FixedPointReport.deferred(output.argmax(axis=1), reference)
 
     def merge(self, results: List[FixedPointReport]) -> FixedPointReport:
-        return FixedPointReport(
-            predictions=np.concatenate([r.predictions for r in results]),
-            reference_predictions=np.concatenate(
-                [r.reference_predictions for r in results]),
-            max_membrane_drift=max(r.max_membrane_drift for r in results),
-        )
+        def reference():
+            return (np.concatenate([r.reference_predictions
+                                    for r in results]),
+                    max(r.max_membrane_drift for r in results))
+
+        return FixedPointReport.deferred(
+            np.concatenate([r.predictions for r in results]), reference)
 
 
 @register_scheme("fixed-point")

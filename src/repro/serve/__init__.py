@@ -40,6 +40,7 @@ from .client import ServerError, predict_remote, server_health, server_models
 from .pool import SessionSpec, WorkerPool, WorkerPoolError
 from .registry import ALIAS_FILE, DEFAULT_ALIAS, ModelRegistry
 from .server import (
+    DEFAULT_MAX_BODY_BYTES,
     DEFAULT_MAX_QUEUE,
     PROTOCOL_VERSION,
     PredictionServer,
@@ -66,6 +67,7 @@ __all__ = [
     "ALIAS_FILE",
     "DEFAULT_ALIAS",
     "ModelRegistry",
+    "DEFAULT_MAX_BODY_BYTES",
     "DEFAULT_MAX_QUEUE",
     "PROTOCOL_VERSION",
     "PredictionServer",

@@ -39,7 +39,9 @@ Protocol (JSON request/response):
     with per-request latency and spike/SOP counts.  Unknown models are
     404s whose message carries the registry's closest-match suggestion;
     an admission queue at capacity is a 503 with a ``Retry-After``
-    header.
+    header.  A ``Content-Length`` that is not a non-negative integer is
+    a 400, and one above ``max_body_bytes`` a 413, both answered before
+    any of the body is read.
 """
 
 from __future__ import annotations
@@ -65,6 +67,10 @@ PROTOCOL_VERSION = 1
 
 #: Default per-channel admission bound (images queued or in flight).
 DEFAULT_MAX_QUEUE = 1024
+
+#: Default bound on a ``/predict`` body.  A batch of 32 CIFAR-sized
+#: (3x32x32) images as full-precision JSON floats takes about 2 MB.
+DEFAULT_MAX_BODY_BYTES = 16 << 20
 
 
 class ServerOverloaded(ReproError):
@@ -228,7 +234,8 @@ class PredictionServer:
     in-process session per model version.  ``workers=N`` runs each model
     as a fleet of N session processes over one mmap'd bundle copy.
     ``max_queue`` bounds each model's admission queue (images), shedding
-    the excess as HTTP 503; ``0`` disables the bound.
+    the excess as HTTP 503; ``0`` disables the bound.  ``max_body_bytes``
+    bounds a ``/predict`` body; a longer one is refused with HTTP 413.
     """
 
     def __init__(self, registry: Union[ModelRegistry, str],
@@ -241,7 +248,8 @@ class PredictionServer:
                  workers: int = 0,
                  max_queue: int = DEFAULT_MAX_QUEUE,
                  mmap: bool = False,
-                 start_method: Optional[str] = None):
+                 start_method: Optional[str] = None,
+                 max_body_bytes: int = DEFAULT_MAX_BODY_BYTES):
         if not isinstance(registry, ModelRegistry):
             registry = ModelRegistry(registry, create=False)
         # validate overrides now (with suggestions), not on first request
@@ -257,6 +265,8 @@ class PredictionServer:
             raise ValueError("workers must be >= 0 (0 = in-process)")
         if max_queue < 0:
             raise ValueError("max_queue must be >= 0 (0 = unbounded)")
+        if max_body_bytes < 1:
+            raise ValueError("max_body_bytes must be >= 1")
         self.registry = registry
         self.host = host
         self.port = port                  # 0 = ephemeral; set by start()
@@ -267,6 +277,7 @@ class PredictionServer:
         self.warmup = warmup
         self.workers = workers
         self.max_queue = max_queue
+        self.max_body_bytes = max_body_bytes
         self.mmap = mmap or bool(workers)
         self.start_method = start_method
         self.num_requests = 0
@@ -605,6 +616,19 @@ def _make_handler(server: PredictionServer):
                 return
             try:
                 length = int(self.headers.get("Content-Length", 0))
+            except ValueError:
+                length = -1
+            if length < 0:
+                self._reply(400, {"error": "Content-Length must be a "
+                                           "non-negative integer"})
+                return
+            if length > server.max_body_bytes:
+                self._reply(413, {"error": f"request body of {length} "
+                                           "bytes exceeds the server's "
+                                           f"{server.max_body_bytes}-byte "
+                                           "limit"})
+                return
+            try:
                 payload = json.loads(self.rfile.read(length) or b"null")
             except (ValueError, json.JSONDecodeError) as exc:
                 self._reply(400, {"error": f"request body is not valid "

@@ -1,10 +1,12 @@
-"""Image-sliced execution of dense array primitives on every allowed core.
+"""Dense array primitives on every allowed core.
 
 A batch's images are independent, and numpy runs GEMMs and ufunc loops
 with the GIL released, so contiguous image slices of one call can run on
 several threads at once.  :func:`map_images` is the one place that does
 so; the engine's dense conv map, spike-time encoding, spike decoding and
-time-domain max pooling call it.
+time-domain max pooling call it.  :func:`map_groups` splits a loop
+instead: the fixed-point datapath's per-spike-time GEMMs, whose integer
+sums add up the same in any grouping, run as one group per thread.
 
 The result equals the whole-batch call bitwise whenever ``fn`` treats
 images independently and rounds each one the same way whatever the
@@ -107,6 +109,12 @@ def blas_threads():
     return None
 
 
+# Probe once, at import (numpy has mapped its BLAS by now): the ctypes
+# handles a probe drops sit in reference cycles, which a first probe
+# inside a layer would leave to the cyclic collector.
+blas_threads()
+
+
 def _pool(threads: int) -> ThreadPoolExecutor:
     global _executor
     with _lock:
@@ -125,6 +133,23 @@ def _drop_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _inline(threads: int, parts: int, blas: bool) -> bool:
+    """Whether a call split into ``parts`` runs on the calling thread:
+    one thread, fewer than two parts, a call from a pool thread, or a
+    GEMM (``blas``) under a BLAS not known to run on one thread."""
+    return (threads < 2 or parts < 2 or (blas and blas_threads() != 1)
+            or threading.current_thread().name.startswith(_PREFIX))
+
+
+def _run_all(threads: int, calls) -> list:
+    """Run the zero-argument ``calls`` on the pool; their results in
+    order, or the first failure (after every call has finished)."""
+    pool = _pool(threads)
+    futures = [pool.submit(call) for call in calls]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 def map_images(fn, x: np.ndarray, shape, dtype, blas: bool = False,
@@ -146,8 +171,7 @@ def map_images(fn, x: np.ndarray, shape, dtype, blas: bool = False,
     threads = thread_count()
     slices = min(units, threads * SLICES_PER_THREAD,
                  math.prod(shape) // MIN_SLICE_ELEMENTS)
-    if (threads < 2 or slices < 2 or (blas and blas_threads() != 1)
-            or threading.current_thread().name.startswith(_PREFIX)):
+    if _inline(threads, slices, blas):
         return fn(x)
     out = np.empty(shape, dtype)
     bounds = [min(n, unit * (units * i // slices))
@@ -156,9 +180,27 @@ def map_images(fn, x: np.ndarray, shape, dtype, blas: bool = False,
     def run(a: int, b: int) -> None:
         out[a:b] = fn(x[a:b])
 
-    pool = _pool(threads)
-    futures = [pool.submit(run, a, b) for a, b in zip(bounds, bounds[1:])]
-    wait(futures)
-    for future in futures:
-        future.result()
+    _run_all(threads, [functools.partial(run, a, b)
+                       for a, b in zip(bounds, bounds[1:])])
     return out
+
+
+def map_groups(fn, count: int) -> list:
+    """``fn`` over round-robin groups of ``range(count)``, one per thread.
+
+    Returns ``[fn(range(g, count, groups)) for g in range(groups)]``,
+    each call run on the shared pool, with one group per thread (at most
+    ``count``).  Round-robin groups spread loop steps whose cost drifts
+    along the range evenly.  The caller combines the results, so ``fn``
+    must yield parts whose combination does not depend on the grouping.
+    The groups run GEMMs, so under the rules that make a ``blas``
+    :func:`map_images` call run inline (one thread, a call from a pool
+    thread, a BLAS not known to run on one thread), and with fewer than
+    two groups, this is ``[fn(range(count))]``.
+    """
+    threads = thread_count()
+    groups = min(threads, count)
+    if _inline(threads, groups, blas=True):
+        return [fn(range(count))]
+    return _run_all(threads, [functools.partial(fn, range(g, count, groups))
+                              for g in range(groups)])

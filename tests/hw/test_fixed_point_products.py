@@ -3,17 +3,22 @@
 ``FixedPointInference`` evaluates Eq. 17 once per (spike time, weight
 level) and sums through exact float64 GEMMs (dense) or integer scatters
 (event).  Every accumulator must equal the per-output-channel oracle in
-:mod:`tests.hw.fixed_point_oracle` bitwise.
+:mod:`tests.hw.fixed_point_oracle` bitwise, also when the dense GEMMs
+run as groups of spike times on two threads.
 """
 
 import copy
 import gc
+import threading
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import threads
 from repro.cat import CATConfig
 from repro.cat.convert import ConvertedSNN, LayerSpec
 from repro.cat.kernels import NO_SPIKE
@@ -33,12 +38,25 @@ def _scheme(spec: LayerSpec, window: int, tau: float,
     return FixedPointInference(snn, precision_bits=precision_bits)
 
 
+@contextmanager
+def engine_threads(n):
+    """``n`` engine threads, under a BLAS that lets GEMMs split."""
+    threads.set_threads(n)
+    try:
+        with mock.patch.object(threads, "blas_threads", lambda: 1):
+            yield
+    finally:
+        threads.set_threads(None)
+
+
 def _times(rng, shape, window: int, fired: str) -> np.ndarray:
     times = rng.integers(0, window, shape).astype(np.float64)
     if fired == "none":
         return np.full(shape, float(NO_SPIKE))
-    if fired == "some":
+    if fired in ("some", "one"):
         times[rng.random(shape) < 0.5] = NO_SPIKE
+    if fired == "one":          # a single spike time present
+        times[times != NO_SPIKE] = times.max()
     return times
 
 
@@ -55,7 +73,7 @@ design = dict(
     window=st.sampled_from([4, 12, 24]),
     tau=st.sampled_from([1.0, 2.0, 4.0]),
     scale=st.sampled_from([0.0, 0.3, 4.0]),
-    fired=st.sampled_from(["all", "none", "some"]),
+    fired=st.sampled_from(["all", "none", "some", "one"]),
     # 56 bits makes the table too wide for one exact float64 limb
     precision_bits=st.sampled_from([12, 16, 56]),
 )
@@ -72,7 +90,10 @@ def test_linear_products_equal_oracle(d_in, d_out, seed, n, window, tau,
     qt = fp._quantized[id(spec)]
     times = _times(rng, (n, d_in), window, fired)
     want = oracle.linear_products(fp.pe, tau, times, qt)
-    np.testing.assert_array_equal(fp._products_linear(times, qt), want)
+    for n_threads in (1, 2):    # two: spike times in two GEMM groups
+        with engine_threads(n_threads):
+            np.testing.assert_array_equal(fp._products_linear(times, qt),
+                                          want)
     stream = EventStream.from_dense(times, window)
     np.testing.assert_array_equal(fp._products_linear_events(stream, qt),
                                   want)
@@ -96,7 +117,10 @@ def test_conv_products_equal_oracle(c_in, c_out, size, kernel, stride,
     qt = fp._quantized[id(spec)]
     times = _times(rng, (n, c_in, size, size), window, fired)
     want = oracle.conv_products(fp.pe, tau, times, qt, stride, padding)
-    np.testing.assert_array_equal(fp._products_conv(times, qt, spec), want)
+    for n_threads in (1, 2):
+        with engine_threads(n_threads):
+            np.testing.assert_array_equal(
+                fp._products_conv(times, qt, spec), want)
     stream = EventStream.from_dense(times, window)
     np.testing.assert_array_equal(
         fp._products_conv_events(stream, qt, spec), want)
@@ -104,7 +128,8 @@ def test_conv_products_equal_oracle(c_in, c_out, size, kernel, stride,
 
 def test_wide_table_splits_into_limbs():
     """At 56 precision bits a table entry nears 2**57: the GEMMs run on
-    split limbs and still match the oracle bitwise."""
+    split limbs, here in two groups of spike times, and still match the
+    oracle bitwise."""
     rng = np.random.default_rng(3)
     spec = LayerSpec("linear", weight=_weight(rng, (8, 64), 4.0),
                      bias=np.zeros(8, dtype=np.float32))
@@ -117,9 +142,19 @@ def test_wide_table_splits_into_limbs():
     np.testing.assert_array_equal(
         sum(limb.astype(np.int64) << (LIMB_BITS * k) for k, limb in
             enumerate(limbs)), table)
-    np.testing.assert_array_equal(fp._products_linear(times, qt),
-                                  oracle.linear_products(fp.pe, 4.0, times,
-                                                         qt))
+    groups = []
+    map_groups = threads.map_groups
+
+    def spy(fn, count):
+        parts = map_groups(fn, count)
+        groups.append(len(parts))
+        return parts
+
+    with engine_threads(2), mock.patch.object(threads, "map_groups", spy):
+        got = fp._products_linear(times, qt)
+    assert groups == [2]
+    np.testing.assert_array_equal(
+        got, oracle.linear_products(fp.pe, 4.0, times, qt))
 
 
 def test_narrow_table_is_one_limb():
@@ -163,3 +198,58 @@ def test_readout_agrees_across_formulations(converted_micro, tiny_dataset,
     netlist = compile_netlist(snn, "fixed-point", x.shape[1:])
     np.testing.assert_array_equal(dense, event)
     np.testing.assert_array_equal(dense, execute_netlist(netlist, x))
+
+
+def test_table_columns_are_built_once_per_layer(converted_micro,
+                                                tiny_dataset):
+    fp = FixedPointInference(converted_micro)
+    assert len(fp._columns) == len(converted_micro.weight_layers)
+    assert all(c.dtype == np.int8 for c in fp._columns.values())
+    with mock.patch.object(FixedPointInference, "_table_columns",
+                           side_effect=AssertionError("rebuilt")):
+        executor.run_pipeline(fp, tiny_dataset.test_x[:2])
+
+
+class TestMapGroups:
+    def test_round_robin_groups_one_per_thread(self):
+        with engine_threads(2):
+            parts = threads.map_groups(list, 5)
+        assert parts == [[0, 2, 4], [1, 3]]
+
+    def test_runs_on_pool_threads(self):
+        def where(indices):
+            return threading.current_thread().name
+
+        with engine_threads(2):
+            names = threads.map_groups(where, 4)
+        assert all(name.startswith("repro-images") for name in names)
+
+    def test_inline_with_one_thread(self):
+        with engine_threads(1):
+            assert threads.map_groups(list, 5) == [[0, 1, 2, 3, 4]]
+
+    def test_inline_with_fewer_than_two_groups(self):
+        with engine_threads(2):
+            assert threads.map_groups(list, 1) == [[0]]
+            assert threads.map_groups(list, 0) == [[]]
+
+    def test_inline_from_a_pool_thread(self):
+        with engine_threads(2):
+            nested = threads.map_groups(
+                lambda outer: threads.map_groups(list, 4), 2)
+        assert nested == [[[0, 1, 2, 3]]] * 2
+
+    def test_inline_under_a_threaded_blas(self):
+        with engine_threads(2), \
+                mock.patch.object(threads, "blas_threads", lambda: 2):
+            assert threads.map_groups(list, 4) == [[0, 1, 2, 3]]
+
+    def test_group_errors_reach_the_caller(self):
+        def fn(indices):
+            if 1 in indices:
+                raise ValueError("bad group")
+            return list(indices)
+
+        with engine_threads(2), pytest.raises(ValueError,
+                                              match="bad group"):
+            threads.map_groups(fn, 4)

@@ -470,3 +470,63 @@ class TestServerOverrideValidation:
         # a valid alias canonicalises
         server = PredictionServer(micro_registry, scheme="ttfs")
         assert server.scheme == "ttfs-closed-form"
+
+
+def _raw_post(server, length_header: str, body: bytes = b"",
+              timeout: float = 5.0) -> int:
+    """POST /predict over a bare socket with the given ``Content-Length``
+    header; the reply's status code.  A server that waits for a body it
+    will never get trips the short ``timeout``."""
+    import socket
+
+    with socket.create_connection((server.host, server.port),
+                                  timeout=timeout) as sock:
+        sock.sendall(b"POST /predict HTTP/1.1\r\nHost: localhost\r\n"
+                     b"Content-Type: application/json\r\n"
+                     + f"Content-Length: {length_header}\r\n\r\n".encode()
+                     + body)
+        reply = b""
+        while b"\r\n" not in reply:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    return int(reply.split(b" ", 2)[1])
+
+
+class TestRequestBodyLimits:
+    def test_negative_content_length_is_400_not_a_hang(self, server):
+        # read(-1) would block until the client closes its socket
+        assert _raw_post(server, "-1", b"{}") == 400
+
+    def test_non_integer_content_length_is_400(self, server):
+        assert _raw_post(server, "twelve", b"{}") == 400
+
+    def test_huge_content_length_is_413_before_reading(self, server):
+        # the body is never sent: a server that reads first would wait
+        assert _raw_post(server, str(1 << 40)) == 413
+
+    def test_body_over_the_configured_limit_is_413(self, micro_registry,
+                                                   tiny_dataset):
+        image = tiny_dataset.test_x[:1].tolist()
+        body = json.dumps({"model": "micro", "inputs": image}).encode()
+        with PredictionServer(micro_registry, warmup=False,
+                              max_body_bytes=len(body) - 1) as server:
+            assert _raw_post(server, str(len(body)), body) == 413
+        with PredictionServer(micro_registry, warmup=False,
+                              max_body_bytes=len(body)) as server:
+            assert _raw_post(server, str(len(body)), body) == 200
+
+    def test_default_limit_fits_a_max_batch_vgg16_request(self):
+        from repro.serve import DEFAULT_MAX_BODY_BYTES
+
+        # 32 CIFAR-sized images of full-precision floats, as
+        # predict_remote sends them
+        images = np.random.default_rng(0).standard_normal((32, 3, 32, 32))
+        body = json.dumps({"model": "vgg16:latest",
+                           "inputs": images.tolist()}).encode()
+        assert len(body) < DEFAULT_MAX_BODY_BYTES
+
+    def test_limit_must_be_positive(self, micro_registry):
+        with pytest.raises(ValueError, match="max_body_bytes"):
+            PredictionServer(micro_registry, max_body_bytes=0)

@@ -438,3 +438,47 @@ class TestShardsCommand:
         }))
         assert main(["run", str(config)]) == 0
         assert "train" in capsys.readouterr().out
+
+
+class TestServeBodyLimit:
+    def test_max_body_bytes_reaches_the_server(self, monkeypatch, tmp_path):
+        import repro.serve
+
+        seen = {}
+
+        class Stub:
+            url = "http://stub"
+
+            def __init__(self, registry, **kwargs):
+                seen.update(kwargs)
+
+            def start(self):
+                return self
+
+            def serve_forever(self):
+                pass
+
+        monkeypatch.setattr(repro.serve.ModelRegistry, "names",
+                            lambda self: ["m"])
+        monkeypatch.setattr(repro.serve, "PredictionServer", Stub)
+        registry = tmp_path / "reg"
+        registry.mkdir()
+        assert main(["serve", "--registry", str(registry),
+                     "--max-body-bytes", "4096"]) == 0
+        assert seen["max_body_bytes"] == 4096
+        seen.clear()
+        assert main(["serve", "--registry", str(registry)]) == 0
+        assert "max_body_bytes" not in seen    # the server's default
+
+    def test_non_positive_max_body_bytes_is_a_usage_error(self, capsys,
+                                                          monkeypatch,
+                                                          tmp_path):
+        import repro.serve
+
+        monkeypatch.setattr(repro.serve.ModelRegistry, "names",
+                            lambda self: ["m"])
+        registry = tmp_path / "reg"
+        registry.mkdir()
+        assert main(["serve", "--registry", str(registry),
+                     "--max-body-bytes", "0"]) == 2
+        assert "--max-body-bytes" in capsys.readouterr().err
