@@ -1,4 +1,4 @@
-"""Dense vs event vs auto backends — plans, segment-sum, adaptivity.
+"""Dense vs event backends — compiled plans and the segment-sum scatter.
 
 The dense `ttfs-timestep` walk integrates a full activation volume at
 every timestep, so its cost is O(T x neurons) no matter how sparse the
@@ -6,20 +6,17 @@ network's activity is.  The event backend scatters only the spikes that
 occurred (O(events x fan-out)), which is exactly what the processor's
 sorted-spike streaming exploits.  This bench runs the micro-VGG at the
 paper-relevant windows (T=16 and the T2FSNN-scale T=80) across input
-sparsity levels and times four variants:
+sparsity levels and times three variants:
 
 ``dense``    the dense per-timestep walk;
 ``scatter``  the event backend's historical hot path (per-batch
              geometry + ``np.add.at``, via
              :func:`~repro.engine.executor.integrate_events_reference`);
-``event``    the event backend on compiled plans + segment-sum kernels;
-``auto``     per-layer dense/event selection against the calibrated
-             crossover, plans precompiled.
+``event``    the event backend on compiled plans + segment-sum kernels.
 
 Shape criteria asserted: the plan+segment-sum path must beat the old
-scatter on the sparse T=80 workload, ``auto`` must never (modulo timer
-noise) lose to the better of dense/event anywhere, and every variant
-must tell the same physical story (spike counts, SOPs, predictions).
+scatter on the sparse T=80 workload, and every variant must tell the
+same physical story (spike counts, SOPs, predictions).
 
 Results go to ``benchmarks/results/event_stream.txt`` (rendered table)
 and ``benchmarks/results/event_stream.json`` (machine-readable, the CI
@@ -50,9 +47,6 @@ SCHEME = "ttfs-timestep"
 WINDOWS = ((16, 4.0), (80, 16.0))
 #: Fraction of input pixels left nonzero (spike density knob).
 DENSITIES = (1.0, 0.25, 0.05)
-#: Timer-noise allowance on the auto-vs-best comparison (single-digit
-#: millisecond runs on shared runners jitter by more than this).
-AUTO_TOLERANCE = 1.15
 
 
 def _best_seconds(scheme, images: np.ndarray) -> float:
@@ -81,24 +75,19 @@ def test_event_backend_sparsity_speedup():
             dense_scheme = create_scheme(SCHEME, snn, backend="dense")
             event_scheme = create_scheme(SCHEME, snn, backend="event",
                                          plans=plans)
-            auto_scheme = create_scheme(SCHEME, snn, backend="auto",
-                                        plans=plans)
             scatter_scheme = create_scheme(SCHEME, snn, backend="event")
             dense_s = _best_seconds(dense_scheme, images)
             with mock.patch.object(executor, "integrate_events",
                                    executor.integrate_events_reference):
                 scatter_s = _best_seconds(scatter_scheme, images)
             event_s = _best_seconds(event_scheme, images)
-            auto_s = _best_seconds(auto_scheme, images)
             dense_run = dense_scheme.run(images)
             event_run = event_scheme.run(images)
-            auto_run = auto_scheme.run(images)
-            # every variant must tell the same physical story
-            for run in (event_run, auto_run):
-                assert dense_run.total_spikes == run.total_spikes
-                assert dense_run.total_sops == run.total_sops
-                assert np.array_equal(dense_run.predictions(),
-                                      run.predictions())
+            # both backends must tell the same physical story
+            assert dense_run.total_spikes == event_run.total_spikes
+            assert dense_run.total_sops == event_run.total_sops
+            assert np.array_equal(dense_run.predictions(),
+                                  event_run.predictions())
             record = {
                 "scheme": SCHEME,
                 "window": window,
@@ -110,23 +99,19 @@ def test_event_backend_sparsity_speedup():
                 "dense_ms": round(1e3 * dense_s, 2),
                 "scatter_ms": round(1e3 * scatter_s, 2),
                 "event_ms": round(1e3 * event_s, 2),
-                "auto_ms": round(1e3 * auto_s, 2),
                 "speedup": round(dense_s / event_s, 2),
                 "scatter_speedup": round(scatter_s / event_s, 2),
-                "auto_vs_best": round(auto_s / min(dense_s, event_s), 2),
-                "auto_backends": sorted({t.backend for t in auto_run.traces
-                                         if t.backend is not None}),
             }
             records.append(record)
             rows.append([f"T={window}", density,
                          record["total_spikes"], record["dense_ms"],
                          record["scatter_ms"], record["event_ms"],
-                         record["auto_ms"], record["speedup"]])
+                         record["speedup"]])
 
     table = format_table(
         ["window", "input density", "spikes", "dense ms", "scatter ms",
-         "event ms", "auto ms", "event speedup"],
-        rows, title=f"dense vs event vs auto backend, {SCHEME}, "
+         "event ms", "event speedup"],
+        rows, title=f"dense vs event backend, {SCHEME}, "
                     f"{BATCH}-image micro-VGG batch")
     save_result("event_stream", table + (
         "\n\nThe dense walk pays O(T x neurons) per layer regardless of "
@@ -134,8 +119,7 @@ def test_event_backend_sparsity_speedup():
         "gap widens with the window and with sparsity — the regime the "
         "paper's one-spike coding and sorted-spike hardware live in.  "
         "'scatter' is the historical np.add.at hot path; 'event' runs "
-        "compiled plans + segment-sum kernels; 'auto' picks dense or "
-        "event per layer from measured spike density."))
+        "compiled plans + segment-sum kernels."))
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "event_stream.json").write_text(
         json.dumps({"schema_version": 2, "batch": BATCH,
@@ -151,7 +135,3 @@ def test_event_backend_sparsity_speedup():
     # The compiled-plan segment-sum path must beat the old np.add.at
     # scatter where the event backend earns its keep.
     assert by_key[(80, 0.05)]["scatter_speedup"] > 1.0, by_key[(80, 0.05)]
-    # Adaptive selection must track the better of the two pure backends
-    # on every workload (within timer noise).
-    for record in records:
-        assert record["auto_vs_best"] <= AUTO_TOLERANCE, record

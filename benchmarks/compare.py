@@ -6,8 +6,7 @@ the repo root whose **ratio** metrics cancel out absolute machine
 speed, so they transfer across hosts far better than raw milliseconds:
 
 * ``event_stream`` — the compiled-plan event path
-  (``BENCH_event_stream.json``: ``speedup``, ``scatter_speedup``,
-  ``auto_vs_best``);
+  (``BENCH_event_stream.json``: ``speedup``, ``scatter_speedup``);
 * ``serve`` — the multi-process serving fleet (``BENCH_serve.json``:
   ``rps_vs_single``, requests/sec per worker count relative to one
   in-process session);
@@ -35,7 +34,7 @@ Usage::
                                   # gate hard on >=60% regressions
 
 Only regressions count — a fresh run that is *faster* than baseline
-never fails.  Lower-is-better metrics (``auto_vs_best``) regress when
+never fails.  Lower-is-better metrics (``overhead_pct``) regress when
 they grow.  Records present only in the fresh run (e.g. a 4-worker
 fleet measurement the 1-core baseline host could not take) are
 ignored; records missing from the fresh run are regressions.
@@ -79,7 +78,6 @@ SUITES = {
         "metrics": {
             "speedup": True,
             "scatter_speedup": True,
-            "auto_vs_best": False,
         },
         "key": _event_stream_key,
     },

@@ -167,7 +167,7 @@ class SimulateConfig:
     """Spike-simulation options (engine runner + coding scheme)."""
 
     scheme: str = "ttfs-closed-form"
-    backend: str = "dense"   # execution backend (dense | event | auto)
+    backend: str = "dense"   # execution backend (dense | event)
     max_batch: int = 32
     limit: int = 0           # cap on test images (0 = the whole split)
 

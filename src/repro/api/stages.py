@@ -430,13 +430,6 @@ class SimulateStage(PipelineStage):
             if value is not None:
                 metrics[attr] = (float(value) if isinstance(value, float)
                                  else int(value))
-        if cfg.backend == "auto":
-            # surface which path each layer actually ran
-            from ..serve.session import traces_layer_backends
-
-            layer_backends = traces_layer_backends(result)
-            if layer_backends is not None:
-                metrics["layer_backends"] = layer_backends
         ctx.metrics["simulate"] = metrics
         return ctx
 

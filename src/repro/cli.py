@@ -752,7 +752,7 @@ def _add_run_parser(sub) -> None:
                         "(see 'repro info')")
     p.add_argument("--backend", default=None,
                    help="override the config's simulate.backend "
-                        "(dense | event | auto)")
+                        "(dense | event)")
     p.add_argument("--cache-dir", default=None,
                    help="stage-cache directory (repeat runs resume)")
     p.add_argument("--report", default=None,
@@ -808,7 +808,7 @@ def _add_simulate_parser(sub) -> None:
                         "info'); defaults to ttfs-closed-form, or the "
                         "artifact's recorded scheme with --artifact")
     p.add_argument("--backend", default=None,
-                   help="execution backend: dense | event | auto "
+                   help="execution backend: dense | event "
                         "(see 'repro info')")
     p.add_argument("--artifact", default=None,
                    help="prebuilt ModelArtifact bundle directory; skips "

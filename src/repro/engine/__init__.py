@@ -1,12 +1,11 @@
 """Unified simulation engine: one layer walk under every simulator stack.
 
 ``executor``  — the shared per-layer primitives, the walk itself, and
-the ``dense``/``event``/``auto`` execution backends (``event`` scatters
-only the :class:`~repro.events.EventStream` events that occurred;
-``auto`` picks dense or event per layer from measured spike density);
+the ``dense``/``event`` execution backends (``event`` scatters only the
+:class:`~repro.events.EventStream` events that occurred);
 ``plan``      — compiled per-layer execution plans (CSR adjacency /
-conv offset tables), the segment-sum scatter kernels, the auto-backend
-cost model, and plan (de)serialisation for artifact bundles;
+conv offset tables), the segment-sum scatter kernels, and plan
+(de)serialisation for artifact bundles;
 ``runner``    — batched/chunked execution with aggregated statistics;
 ``registry``  — pluggable coding schemes (``ttfs-closed-form``,
 ``ttfs-timestep``, ``ttfs-early``, ``rate``, ``fixed-point``, ...);
@@ -45,18 +44,13 @@ from .executor import (
 from .cache import ResultCache, digest, run_key, scheme_digest
 from .parallel import ParallelRunner, SchemeSpec
 from .plan import (
-    DENSE_EVENT_CROSSOVER,
     PLAN_FORMAT_VERSION,
     ConvPlan,
     LinearPlan,
     PlanError,
     PlanSet,
-    choose_backend,
     compile_plans,
-    dense_flops,
-    event_sops,
     load_plans,
-    occupied_steps,
     save_plans,
     scatter_add_rows,
 )
@@ -86,18 +80,13 @@ __all__ = [
     "integrate_events",
     "integrate_events_reference",
     "validate_backend",
-    "DENSE_EVENT_CROSSOVER",
     "PLAN_FORMAT_VERSION",
     "ConvPlan",
     "LinearPlan",
     "PlanError",
     "PlanSet",
-    "choose_backend",
     "compile_plans",
-    "dense_flops",
-    "event_sops",
     "load_plans",
-    "occupied_steps",
     "save_plans",
     "scatter_add_rows",
     "CodingScheme",

@@ -45,11 +45,8 @@ FIRE_TOL = 1e-9
 #: walks full ``(T, N, ...)``/dense activation volumes; ``event``
 #: integrates only the spikes that actually occurred, as a scatter over
 #: an :class:`~repro.events.EventStream` (cost O(events), not
-#: O(timesteps x neurons)); ``auto`` measures each layer's incoming
-#: spike count and picks dense or event per layer against the
-#: calibrated crossover of :func:`repro.engine.plan.choose_backend`,
-#: recording the choice in :attr:`LayerTrace.backend`.
-BACKENDS = ("dense", "event", "auto")
+#: O(timesteps x neurons)).
+BACKENDS = ("dense", "event")
 
 
 def available_backends():
@@ -334,14 +331,7 @@ def fire_times_from_membrane(membrane: np.ndarray, kernel, window: int,
 
 @dataclass
 class LayerTrace:
-    """Per-layer record of one simulation run.
-
-    ``backend`` is the execution path that actually ran the layer
-    (``"dense"`` / ``"event"``; ``"mixed"`` after merging chunks that
-    disagreed, ``None`` for schemes that don't record it) — under
-    ``backend="auto"`` this is how reports and serve metrics surface the
-    per-layer choice.
-    """
+    """Per-layer record of one simulation run."""
 
     name: str
     input_spikes: int
@@ -349,7 +339,6 @@ class LayerTrace:
     neurons: int
     sops: int  # synaptic operations = sum over input spikes of fan-out
     membrane: Optional[np.ndarray] = None
-    backend: Optional[str] = None
     #: How many per-chunk traces were folded into this record (1 for a
     #: fresh single-chunk trace).  Without it, averaged statistics —
     #: spikes/image, SOPs/image — were uncomputable from a merged trace
@@ -389,10 +378,9 @@ class CodingScheme:
     another copy of the walk.
 
     :attr:`backend` selects the execution formulation (``dense`` |
-    ``event`` | ``auto``, see :data:`BACKENDS`); all must produce the
-    same results — the parity suite asserts it for every registered
-    scheme.  Schemes that have no event formulation simply ignore the
-    attribute.
+    ``event``, see :data:`BACKENDS`); the parity suite asserts both give
+    the same results on ``vgg_micro`` for every registered scheme.
+    Schemes that have no event formulation simply ignore the attribute.
     """
 
     scheme_name: str = ""

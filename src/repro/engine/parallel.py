@@ -37,7 +37,7 @@ from typing import Any, Dict, Iterator, List, Optional
 import numpy as np
 
 from ..obs import get_registry
-from ..threads import set_threads
+from ..threads import set_blas_threads, set_threads
 from .cache import ResultCache, run_key, scheme_digest
 from .executor import validate_backend
 from .registry import create_scheme
@@ -94,12 +94,13 @@ _WORKER_STATE = None
 def init_worker_state(spec) -> None:
     """Pool initializer: build ``spec`` (anything with ``.build()``).
 
-    Also pins the engine's image-slicing pool to one thread: the pool's
-    processes already occupy the cores, and N processes each splitting
-    across N threads would only contend.
+    Also pins the engine's image-slicing pool and numpy's OpenBLAS to
+    one thread: the pool's processes already occupy the cores, and N
+    processes each splitting across N threads would only contend.
     """
     global _WORKER_STATE
     set_threads(1)
+    set_blas_threads(1)
     _WORKER_STATE = spec.build()
 
 

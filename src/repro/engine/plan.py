@@ -22,10 +22,6 @@ accumulators use a ``bincount`` over flattened destination indices
 ~3x faster), integer accumulators use a stable sort by destination row
 plus ``np.add.reduceat`` (integer addition is exact under any order).
 
-The module also owns the ``auto`` backend's cost model
-(:func:`choose_backend`): per layer, the measured spike count prices the
-event scatter against the dense walk and the cheaper side runs.
-
 Plans serialise to a versioned, digested ``.npz``
 (:func:`save_plans` / :func:`load_plans`) so a
 :class:`~repro.serve.ModelArtifact` bundle can carry them and the
@@ -60,15 +56,6 @@ PLAN_FORMAT_VERSION = 1
 #: log-quantised layers routinely clear it, dense-trained ones never do).
 CSR_MIN_ZERO_FRACTION = 0.75
 
-#: The ``auto`` backend picks the event path when
-#: ``event_sops < DENSE_EVENT_CROSSOVER x dense_flops`` (both counted by
-#: :func:`event_sops` / :func:`dense_flops`).  Calibrated on the
-#: ``bench_event_stream`` micro-VGG workloads: one event-scatter SOP
-#: costs roughly 6x one dense-walk MAC in wall-clock (the dense walk
-#: rides contiguous BLAS/im2col kernels), so the event path must be at
-#: least that much leaner in op count before it wins.
-DENSE_EVENT_CROSSOVER = 1.0 / 6.0
-
 
 class PlanError(RuntimeError):
     """A plan file could not be decoded (message says why)."""
@@ -78,54 +65,6 @@ class PlanError(RuntimeError):
 # repro.events.stream — the package's bottom layer — so the tensor
 # library's pooling backward shares the one implementation without an
 # import cycle.  Imported above; re-exported here, its historical home.
-
-# ----------------------------------------------------------------------
-# Cost model (the `auto` backend's per-layer decision)
-# ----------------------------------------------------------------------
-
-def dense_flops(spec, in_shape) -> int:
-    """MACs of one dense presentation of the full input volume."""
-    if spec.kind == "conv":
-        n, _, h, w = in_shape
-        k, s, p = spec.kernel_size, spec.stride, spec.padding
-        oh = (h + 2 * p - k) // s + 1
-        ow = (w + 2 * p - k) // s + 1
-        c_out, c_in = spec.weight.shape[0], spec.weight.shape[1]
-        return n * oh * ow * c_out * k * k * c_in
-    return in_shape[0] * spec.weight.shape[0] * spec.weight.shape[1]
-
-
-def event_sops(spec, num_events: int) -> int:
-    """Synaptic operations the event scatter pays for ``num_events``."""
-    if spec.kind == "conv":
-        fanout = spec.kernel_size ** 2 * spec.weight.shape[0]
-    else:
-        fanout = spec.weight.shape[0]
-    return num_events * fanout
-
-
-def choose_backend(spec, num_events: int, in_shape,
-                   dense_steps: int = 1) -> str:
-    """Pick ``dense`` or ``event`` for one layer from measured activity.
-
-    ``dense_steps`` is how many times the dense formulation walks the
-    full volume (1 for closed-form integration, the number of *occupied*
-    timesteps for per-step paths).  The event path wins when its SOP
-    count undercuts the dense MAC count by the calibrated crossover
-    factor (see :data:`DENSE_EVENT_CROSSOVER`).
-    """
-    dense_cost = max(dense_steps, 1) * dense_flops(spec, in_shape)
-    if event_sops(spec, num_events) < DENSE_EVENT_CROSSOVER * dense_cost:
-        return "event"
-    return "dense"
-
-
-def occupied_steps(stream) -> int:
-    """Number of distinct timesteps carrying at least one event."""
-    if not stream.num_events:
-        return 0
-    return int(len(np.unique(stream.times)))
-
 
 # ----------------------------------------------------------------------
 # Layer plans

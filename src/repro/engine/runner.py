@@ -35,10 +35,7 @@ def merge_traces(trace_lists: Sequence[List[LayerTrace]]) -> List[LayerTrace]:
     """Fold per-chunk layer traces into whole-batch totals.
 
     Spike, neuron and SOP counts sum across chunks; recorded membranes
-    concatenate along the batch axis.  The recorded execution backend
-    survives when every chunk agrees and degrades to ``"mixed"`` when
-    they don't (``auto`` may legitimately pick different paths for
-    chunks of different spike density).  ``chunks`` accumulates how many
+    concatenate along the batch axis.  ``chunks`` accumulates how many
     per-chunk traces were folded in, so averaged statistics (spikes per
     image, SOPs per chunk) stay computable from a merged trace.
     """
@@ -53,7 +50,6 @@ def merge_traces(trace_lists: Sequence[List[LayerTrace]]) -> List[LayerTrace]:
         if len(names) != 1:
             raise ValueError(f"chunks disagree on layer names: {names}")
         membranes = [t.membrane for t in per_layer]
-        backends = {t.backend for t in per_layer}
         merged.append(LayerTrace(
             name=per_layer[0].name,
             input_spikes=sum(t.input_spikes for t in per_layer),
@@ -62,7 +58,6 @@ def merge_traces(trace_lists: Sequence[List[LayerTrace]]) -> List[LayerTrace]:
             sops=sum(t.sops for t in per_layer),
             membrane=(np.concatenate(membranes, axis=0)
                       if all(m is not None for m in membranes) else None),
-            backend=(backends.pop() if len(backends) == 1 else "mixed"),
             chunks=sum(t.chunks for t in per_layer),
         ))
     return merged
@@ -77,8 +72,7 @@ def record_chunk_metrics(registry: MetricsRegistry, scheme: Any,
     :class:`PipelineRunner`, the parent-side serial fallback of
     :class:`~repro.engine.parallel.ParallelRunner` and its pool workers
     all report chunks/images/time plus, when the scheme produced
-    traces, per-layer spike/SOP totals and the execution backend that
-    actually ran each layer (``auto``'s per-layer choice).
+    traces, per-layer spike/SOP totals.
     """
     scheme_name = type(scheme).__name__
     registry.counter(
@@ -98,14 +92,9 @@ def record_chunk_metrics(registry: MetricsRegistry, scheme: Any,
                               "Output spikes per layer")
     sops = registry.counter("repro_engine_layer_sops_total",
                             "Synaptic operations per layer")
-    backend_runs = registry.counter(
-        "repro_engine_layer_backend_total",
-        "Chunk executions per layer and chosen execution backend")
     for trace in traces:
         spikes.inc(int(trace.output_spikes), layer=trace.name)
         sops.inc(int(trace.sops), layer=trace.name)
-        if trace.backend is not None:
-            backend_runs.inc(1, layer=trace.name, backend=trace.backend)
 
 
 def run_recorded(scheme: Any, chunk: np.ndarray,
@@ -139,7 +128,7 @@ class PipelineRunner:
     scheme's ``merge``.  ``stream`` exposes the per-chunk results for
     callers that want online consumption (progress display, per-chunk
     persistence) instead of one aggregate.  ``backend`` (``dense`` |
-    ``event`` | ``auto``) overrides the scheme's execution backend while this
+    ``event``) overrides the scheme's execution backend while this
     runner simulates — the scheme object itself is left as it was, so
     an override never leaks into later uses of the same instance.
     """

@@ -36,7 +36,7 @@ from ..engine.executor import (
     SpikeTrainScheme,
     validate_backend,
 )
-from ..engine.plan import PlanSet, choose_backend, scatter_add_rows
+from ..engine.plan import PlanSet, scatter_add_rows
 from ..engine.registry import register_scheme
 from ..events import EventStream, conv_offset_coverage, scatter_chunks
 from ..quant.logquant import LogQuantConfig, quantize_tensor
@@ -329,25 +329,17 @@ class FixedPointInference(SpikeTrainScheme):
         cfg = self.snn.config
         times = self.kernel.spike_time(values, theta0=cfg.theta0,
                                        window=cfg.window)
-        if self.backend in ("event", "auto"):
+        if self.backend == "event":
             return EventStream.from_dense(times, cfg.window)
         return SpikeTrain(times=times, window=cfg.window)
 
     def encode_input(self, images: np.ndarray, ctx: ExecutionContext):
         return self._encode(np.asarray(images, dtype=np.float64))
 
-    def _resolve_backend(self, spec: LayerSpec, train) -> str:
-        """Per-layer path under ``auto`` (integer math is bitwise-equal
-        both ways, so the choice is purely a cost call)."""
-        if self.backend != "auto":
-            return self.backend
-        return choose_backend(spec, train.num_events, train.shape)
-
     def weight_layer(self, spec: LayerSpec, train, ctx: ExecutionContext):
         scale = 1 << self.pe.precision_bits
         qt = self._quantized[id(spec)]
-        layer_backend = self._resolve_backend(spec, train)
-        if layer_backend == "event":
+        if self.backend == "event":
             if spec.kind == "conv":
                 plan = self.plans.plan_for(spec, ctx.weight_index,
                                            train.shape)
@@ -355,12 +347,10 @@ class FixedPointInference(SpikeTrainScheme):
             else:
                 acc = self._products_linear_events(train, qt)
         else:
-            times = (train.to_dense() if isinstance(train, EventStream)
-                     else train.times)
             if spec.kind == "conv":
-                acc = self._products_conv(times, qt, spec)
+                acc = self._products_conv(train.times, qt, spec)
             else:
-                acc = self._products_linear(times, qt)
+                acc = self._products_linear(train.times, qt)
         # PPU: bias added once per window, in fixed point.
         bias = executor.bias_shaped(spec)
         acc = acc + np.round(bias * scale).astype(np.int64)

@@ -93,7 +93,10 @@ class ModelArtifact:
 
     @property
     def backend(self) -> str:
-        return self.manifest["backend"]
+        # bundles written while an ``auto`` backend existed may record
+        # it; they run on dense
+        backend = self.manifest["backend"]
+        return "dense" if backend == "auto" else backend
 
     @property
     def max_batch(self) -> int:

@@ -81,24 +81,6 @@ class ServerOverloaded(ReproError):
         self.retry_after_s = retry_after_s
 
 
-def merge_layer_backends(per_batch) -> Optional[Dict[str, str]]:
-    """Fold per-dispatch layer->backend maps into one request-level map.
-
-    Layers every dispatch ran the same way keep their value; layers the
-    ``auto`` backend routed differently across dispatches degrade to
-    ``"mixed"``.  ``None`` when no dispatch recorded anything.
-    """
-    recorded = [m for m in per_batch if m]
-    if not recorded:
-        return None
-    merged: Dict[str, str] = {}
-    for mapping in recorded:
-        for layer, backend in mapping.items():
-            if merged.setdefault(layer, backend) != backend:
-                merged[layer] = "mixed"
-    return merged
-
-
 class _Admission:
     """Bounded in-flight counter: the load-shedding primitive.
 
@@ -545,8 +527,6 @@ class PredictionServer:
                     execute_s, model=channel.label)
         spikes = [b.total_spikes for b in batches]
         sops = [b.total_sops for b in batches]
-        layer_backends = merge_layer_backends(
-            [b.layer_backends for b in batches])
         metrics = {
             "latency_s": queue_wait_s + execute_s,
             "queue_wait_s": queue_wait_s,
@@ -563,8 +543,6 @@ class PredictionServer:
             "total_sops": (None if any(s is None for s in sops)
                            else int(sum(sops))),
         }
-        if layer_backends is not None:
-            metrics["layer_backends"] = layer_backends
         return 200, {"model": spec, "predictions": predictions,
                      "metrics": metrics}
 

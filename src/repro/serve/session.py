@@ -35,9 +35,6 @@ class Prediction:
     ``total_spikes``/``total_sops`` are the *dispatched batch* totals —
     for per-item results yielded by ``predict_stream`` they describe the
     micro-batch the item rode in, not the single image.
-    ``layer_backends`` maps layer name to the execution path that
-    actually ran it, when the scheme recorded one (under
-    ``backend="auto"`` this is how clients see the per-layer choice).
     """
 
     predictions: np.ndarray   # (N,) predicted class ids
@@ -47,7 +44,6 @@ class Prediction:
     backend: str
     total_spikes: Optional[int] = None
     total_sops: Optional[int] = None
-    layer_backends: Optional[Dict[str, str]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -58,17 +54,7 @@ class Prediction:
             "backend": self.backend,
             "total_spikes": self.total_spikes,
             "total_sops": self.total_sops,
-            "layer_backends": self.layer_backends,
         }
-
-
-def traces_layer_backends(result) -> Optional[Dict[str, str]]:
-    """Per-layer executed-backend map off a result's traces, if recorded."""
-    traces = getattr(result, "traces", None)
-    if not traces:
-        return None
-    recorded = {t.name: t.backend for t in traces if t.backend is not None}
-    return recorded or None
 
 
 class InferenceSession:
@@ -138,7 +124,7 @@ class InferenceSession:
             return
         zeros = np.zeros((1, *shape), dtype=np.float32)
         self.snn.encode_input(zeros)
-        if self.backend in ("event", "auto"):
+        if self.backend == "event":
             self.snn.input_events(zeros)
 
     def _as_batch(self, batch) -> np.ndarray:
@@ -185,8 +171,7 @@ class InferenceSession:
             batch_size=len(arr), latency_s=latency,
             scheme=self.scheme_name, backend=self.backend,
             total_spikes=None if spikes is None else int(spikes),
-            total_sops=None if sops is None else int(sops),
-            layer_backends=traces_layer_backends(result))
+            total_sops=None if sops is None else int(sops))
 
     def predict_stream(self, images: Iterable[Any]
                        ) -> Iterator[Prediction]:
@@ -214,8 +199,7 @@ class InferenceSession:
                 latency_s=batch_result.latency_s,
                 scheme=batch_result.scheme, backend=batch_result.backend,
                 total_spikes=batch_result.total_spikes,
-                total_sops=batch_result.total_sops,
-                layer_backends=batch_result.layer_backends)
+                total_sops=batch_result.total_sops)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

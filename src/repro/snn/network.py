@@ -39,7 +39,7 @@ from ..engine.executor import (
     SpikeTrainScheme,
     validate_backend,
 )
-from ..engine.plan import PlanSet, choose_backend, occupied_steps
+from ..engine.plan import PlanSet
 from ..engine.registry import register_scheme
 from ..engine.runner import PipelineRunner, merge_traces
 from ..events import EventStream
@@ -228,9 +228,7 @@ class EventDrivenTTFSNetwork(SpikeTrainScheme):
     # ------------------------------------------------------------------
     def encode_input(self, images: np.ndarray, ctx: ExecutionContext):
         cfg = self.config
-        if self.backend in ("event", "auto"):
-            # auto keeps an EventStream as the canonical inter-layer
-            # state — the per-layer decision needs its event counts
+        if self.backend == "event":
             train = self.snn.input_events(images)
         else:
             train = encode_values(np.asarray(images, dtype=np.float64),
@@ -255,7 +253,7 @@ class EventDrivenTTFSNetwork(SpikeTrainScheme):
             output = membrane * self.snn.output_scale
             ctx.record(LayerTrace(
                 name=name + "(out)", input_spikes=in_spikes, output_spikes=0,
-                neurons=int(np.prod(out_shape)), sops=sops, backend="event",
+                neurons=int(np.prod(out_shape)), sops=sops,
                 membrane=output if self.record_membranes else None))
             return output
 
@@ -278,34 +276,13 @@ class EventDrivenTTFSNetwork(SpikeTrainScheme):
         ctx.record(LayerTrace(
             name=name, input_spikes=in_spikes,
             output_spikes=out_stream.num_spikes,
-            neurons=int(np.prod(out_shape)), sops=sops, backend="event",
+            neurons=int(np.prod(out_shape)), sops=sops,
             membrane=membrane.copy() if self.record_membranes else None))
         return out_stream
 
-    def _resolve_backend(self, spec: LayerSpec, state) -> str:
-        """The execution path this layer runs under the scheme backend.
-
-        Under ``auto`` the layer's own event count prices the scatter
-        against the dense walk (which runs once for the closed form and
-        once per *occupied* timestep for the stepped/early paths).
-        """
-        if self.backend != "auto":
-            return self.backend
-        dense_steps = 1
-        if self.mode == "timestep" or self.early_firing:
-            dense_steps = max(occupied_steps(state), 1)
-        return choose_backend(spec, state.num_events, state.shape,
-                              dense_steps)
-
     def weight_layer(self, spec: LayerSpec, train, ctx: ExecutionContext):
-        layer_backend = self._resolve_backend(spec, train)
-        if layer_backend == "event":
+        if self.backend == "event":
             return self._weight_layer_events(spec, train, ctx)
-        if isinstance(train, EventStream):
-            # auto chose dense for this layer: densify the stream (the
-            # spike times are identical either way, so the choice can
-            # never change what the layer computes)
-            train = SpikeTrain(train.to_dense(), train.window)
         cfg = self.config
         out_shape = executor.output_shape(spec, train.shape)
         pool = IFNeuronPool(shape=out_shape, kernel=self.kernel,
@@ -319,7 +296,7 @@ class EventDrivenTTFSNetwork(SpikeTrainScheme):
             output = pool.membrane * self.snn.output_scale
             ctx.record(LayerTrace(
                 name=name + "(out)", input_spikes=in_spikes, output_spikes=0,
-                neurons=int(np.prod(out_shape)), sops=sops, backend="dense",
+                neurons=int(np.prod(out_shape)), sops=sops,
                 membrane=output if self.record_membranes else None))
             return output
 
@@ -334,11 +311,8 @@ class EventDrivenTTFSNetwork(SpikeTrainScheme):
         ctx.record(LayerTrace(
             name=name, input_spikes=in_spikes,
             output_spikes=out_train.num_spikes,
-            neurons=int(np.prod(out_shape)), sops=sops, backend="dense",
+            neurons=int(np.prod(out_shape)), sops=sops,
             membrane=pool.membrane.copy() if self.record_membranes else None))
-        if self.backend == "auto":
-            # back to the canonical event-stream state for later layers
-            return EventStream.from_dense(out_train.times, out_train.window)
         return out_train
 
     def finalize(self, output: np.ndarray,

@@ -41,7 +41,7 @@ from ..engine.executor import (
     LayerTrace,
     validate_backend,
 )
-from ..engine.plan import PlanSet, choose_backend
+from ..engine.plan import PlanSet
 from ..engine.registry import register_scheme
 from ..engine.runner import PipelineRunner
 from ..events import EventStream
@@ -113,12 +113,12 @@ class RateCodedNetwork(CodingScheme):
         return out.reshape((t, n) + out.shape[1:])
 
     def _fold(self, spec: LayerSpec, signal: _RateSignal,
-              ctx: ExecutionContext, layer_backend: str) -> np.ndarray:
+              ctx: ExecutionContext) -> np.ndarray:
         """Per-step pre-activations ``z`` with the time axis leading."""
         if not signal.per_step:
             z = executor.affine(spec, signal.data)
             return np.broadcast_to(z, (self.timesteps,) + z.shape)
-        if layer_backend == "event":
+        if self.backend == "event":
             return self._fold_events(spec, signal, ctx)
         return self._map_steps(lambda x: executor.affine(spec, x),
                                signal.data)
@@ -142,24 +142,6 @@ class RateCodedNetwork(CodingScheme):
         z += executor.bias_shaped(spec)
         return z.reshape(data.shape[:2] + z.shape[1:])
 
-    def _resolve_backend(self, spec: LayerSpec,
-                         signal: _RateSignal) -> str:
-        """The fold path this layer runs under the scheme backend.
-
-        A not-yet-per-step signal always folds as one broadcast affine
-        map (there is nothing event-shaped to scatter); otherwise
-        ``auto`` prices the spike scatter against the T-folded dense
-        affine over the actual nonzero count.
-        """
-        if not signal.per_step:
-            return "dense"
-        if self.backend != "auto":
-            return self.backend
-        data = signal.data
-        num_events = int(np.count_nonzero(data))
-        in_shape = (data.shape[0] * data.shape[1],) + data.shape[2:]
-        return choose_backend(spec, num_events, in_shape, dense_steps=1)
-
     # ------------------------------------------------------------------
     # CodingScheme hooks
     # ------------------------------------------------------------------
@@ -172,8 +154,7 @@ class RateCodedNetwork(CodingScheme):
     def weight_layer(self, spec: LayerSpec, signal: _RateSignal,
                      ctx: ExecutionContext):
         theta = self.theta0
-        layer_backend = self._resolve_backend(spec, signal)
-        z = self._fold(spec, signal, ctx, layer_backend)
+        z = self._fold(spec, signal, ctx)
         if spec.is_output:
             # readout accumulates membrane without firing
             return z.sum(axis=0)
@@ -189,8 +170,7 @@ class RateCodedNetwork(CodingScheme):
             fires[t] = fire
         ctx.record(LayerTrace(
             name=f"{spec.kind}{ctx.weight_index}", input_spikes=0,
-            output_spikes=spikes, neurons=int(membrane.size), sops=0,
-            backend=layer_backend))
+            output_spikes=spikes, neurons=int(membrane.size), sops=0))
         return _RateSignal(fires * theta, per_step=True)
 
     def pool(self, spec: LayerSpec, signal: _RateSignal,

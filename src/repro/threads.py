@@ -25,8 +25,8 @@ against 1.04 s whole, on 2 cores).
 One pool serves the whole process.  It has one thread per core in the
 process's affinity mask, starts on the first call that splits, and is
 dropped in a forked child (its threads do not survive the fork).
-Worker processes call :func:`set_threads` with 1, so N processes never
-run N threads each.
+Worker processes call :func:`set_threads` and :func:`set_blas_threads`
+with 1, so N processes never run N threads each.
 """
 
 from __future__ import annotations
@@ -83,9 +83,9 @@ def set_threads(n) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def blas_threads():
-    """Threads numpy's OpenBLAS splits one GEMM across; ``None`` when no
-    OpenBLAS is mapped into the process (another BLAS, or no
+def _openblas():
+    """numpy's OpenBLAS ``(get_num_threads, set_num_threads)``; ``None``
+    when no OpenBLAS is mapped into the process (another BLAS, or no
     ``/proc``)."""
     try:
         with open("/proc/self/maps") as maps:
@@ -98,21 +98,38 @@ def blas_threads():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in ("scipy_openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads",
-                     "openblas_get_num_threads64_",
-                     "openblas_get_num_threads"):
-            get = getattr(lib, name, None)
-            if get is not None:
+        for prefix, suffix in (("scipy_openblas", "64_"),
+                               ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
-                return get()
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
     return None
 
 
 # Probe once, at import (numpy has mapped its BLAS by now): the ctypes
 # handles a probe drops sit in reference cycles, which a first probe
 # inside a layer would leave to the cyclic collector.
-blas_threads()
+_openblas()
+
+
+def blas_threads():
+    """Threads numpy's OpenBLAS splits one GEMM across; ``None`` when no
+    OpenBLAS is mapped into the process (another BLAS, or no
+    ``/proc``)."""
+    entry = _openblas()
+    return None if entry is None else entry[0]()
+
+
+def set_blas_threads(n: int) -> None:
+    """Run numpy's OpenBLAS on ``n`` threads from now on (nothing to do
+    without one)."""
+    entry = _openblas()
+    if entry is not None:
+        entry[1](n)
 
 
 def _pool(threads: int) -> ThreadPoolExecutor:

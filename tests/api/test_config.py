@@ -76,6 +76,9 @@ class TestValidation:
         with pytest.raises(ConfigError,
                            match="simulate.backend.*did you mean 'event'"):
             config_from_dict({"simulate": {"backend": "events"}})
+        with pytest.raises(ConfigError,
+                           match="simulate.backend.*available: dense, event$"):
+            config_from_dict({"simulate": {"backend": "auto"}})
         cfg = config_from_dict({"simulate": {"backend": "event"}})
         assert cfg.simulate.backend == "event"
 

@@ -11,6 +11,7 @@ must match the serial runner exactly (not approximately).
 import numpy as np
 import pytest
 
+from repro import threads
 from repro.engine import (
     ParallelRunner,
     PipelineRunner,
@@ -122,6 +123,16 @@ class TestParallelRunnerAPI:
                             workers=1) as runner:
             with pytest.raises(ValueError):
                 runner.run(tiny_dataset.test_x[:0])
+
+    @pytest.mark.skipif(threads.blas_threads() is None,
+                        reason="no OpenBLAS mapped into the process")
+    def test_workers_run_blas_on_one_thread(self, converted_micro):
+        # N workers each on a multi-threaded BLAS would oversubscribe
+        # the cores the pool already fills
+        with ParallelRunner(SchemeSpec("ttfs-closed-form", converted_micro),
+                            workers=2) as runner:
+            pool = runner._ensure_pool()
+            assert pool.apply(threads.blas_threads) == 1
 
     def test_close_is_idempotent(self, converted_micro, tiny_dataset):
         runner = ParallelRunner(SchemeSpec("ttfs-closed-form",

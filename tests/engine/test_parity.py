@@ -216,34 +216,7 @@ class TestBackendParity:
                           backend="evnt")
         from repro.engine import available_backends
 
-        assert available_backends() == ["dense", "event", "auto"]
-
-    @pytest.mark.parametrize("name", ["ttfs-closed-form", "ttfs-timestep",
-                                      "ttfs-early", "rate", "fixed-point"])
-    def test_auto_backend_matches_dense(self, name, converted_micro,
-                                        images):
-        # `auto` may mix per-layer paths but must never change answers
-        x, y = images
-        dense = create_scheme(name, converted_micro, backend="dense").run(x)
-        auto = create_scheme(name, converted_micro, backend="auto").run(x)
-
-        from repro.engine import result_predictions
-
-        preds_d = result_predictions(dense)
-        preds_a = result_predictions(auto)
-        assert np.array_equal(preds_d, preds_a)
-        assert float((preds_d == y).mean()) == float((preds_a == y).mean())
-        for attr in ("total_spikes", "total_sops", "max_membrane_drift"):
-            if getattr(dense, attr, None) is not None:
-                assert getattr(dense, attr) == getattr(auto, attr), attr
-        if hasattr(dense, "output"):
-            assert np.allclose(dense.output, auto.output, atol=1e-9)
-        if hasattr(auto, "traces") and auto.traces:
-            # the per-layer choice is recorded for every weight layer
-            for trace in auto.traces:
-                if trace.name == "input-encoder":
-                    continue
-                assert trace.backend in ("dense", "event"), trace.name
+        assert available_backends() == ["dense", "event"]
 
 
 class TestFireSweepVectorisation:

@@ -1,4 +1,4 @@
-"""Compiled plans, segment-sum kernels, and the auto cost model.
+"""Compiled plans and the segment-sum kernels.
 
 The load-bearing property: :func:`integrate_events` — planless, with a
 compiled plan, through the CSR gather, or under forced tiny scatter
@@ -19,19 +19,12 @@ from repro.engine import (
     LinearPlan,
     PlanError,
     PlanSet,
-    choose_backend,
     compile_plans,
     load_plans,
-    occupied_steps,
     save_plans,
     scatter_add_rows,
 )
-from repro.engine.executor import (
-    LayerTrace,
-    integrate_events,
-    integrate_events_reference,
-)
-from repro.engine.runner import merge_traces
+from repro.engine.executor import integrate_events, integrate_events_reference
 from repro.events import EventStream
 
 WINDOW = 12
@@ -256,48 +249,3 @@ class TestSerialisation:
             json.dumps(header).encode(), dtype=np.uint8))
         with pytest.raises(PlanError, match="missing entry"):
             load_plans(path)
-
-
-class TestAutoCostModel:
-    def test_extremes(self, rng):
-        spec = linear_spec(rng, 64, 64)
-        assert choose_backend(spec, 0, (4, 64)) == "event"
-        assert choose_backend(spec, 10**9, (4, 64)) == "dense"
-
-    def test_dense_steps_scale_the_dense_side(self, rng):
-        spec = linear_spec(rng, 64, 64)
-        # 64 events x 64 fan-out = 4096 SOPs vs 16384 MACs: above the
-        # 1/6 crossover at one dense step, far below it at fifty.
-        events = 64
-        assert choose_backend(spec, events, (4, 64),
-                              dense_steps=1) == "dense"
-        assert choose_backend(spec, events, (4, 64),
-                              dense_steps=50) == "event"
-
-    def test_occupied_steps(self):
-        empty = EventStream.from_dense(
-            np.full((2, 3), NO_SPIKE, dtype=np.int64), WINDOW)
-        assert occupied_steps(empty) == 0
-        times = np.array([[2, NO_SPIKE, 5], [2, 5, NO_SPIKE]])
-        assert occupied_steps(
-            EventStream.from_dense(times, WINDOW)) == 2
-
-
-class TestTraceBackendFolding:
-    def _trace(self, backend):
-        return LayerTrace(name="conv0", input_spikes=1, output_spikes=1,
-                          neurons=4, sops=8, backend=backend)
-
-    def test_agreeing_chunks_keep_the_backend(self):
-        merged = merge_traces([[self._trace("event")],
-                               [self._trace("event")]])
-        assert merged[0].backend == "event"
-
-    def test_disagreeing_chunks_fold_to_mixed(self):
-        merged = merge_traces([[self._trace("dense")],
-                               [self._trace("event")]])
-        assert merged[0].backend == "mixed"
-
-    def test_unrecorded_stays_none(self):
-        merged = merge_traces([[self._trace(None)], [self._trace(None)]])
-        assert merged[0].backend is None

@@ -12,6 +12,7 @@ from repro.serve import (
     ARTIFACT_SCHEMA_VERSION,
     MANIFEST_NAME,
     ArtifactError,
+    InferenceSession,
     ModelArtifact,
 )
 
@@ -49,6 +50,22 @@ class TestSaveLoadRoundtrip:
 
     def test_summary_is_jsonable(self, micro_bundle):
         json.dumps(micro_bundle.summary())
+
+    def test_legacy_auto_backend_opens_on_dense(self, tmp_path, micro_bundle,
+                                                converted_micro,
+                                                tiny_dataset):
+        artifact = ModelArtifact.save(tmp_path / "b", converted_micro,
+                                      name="m", scheme="ttfs-closed-form",
+                                      input_shape=(3, 8, 8))
+        manifest = json.loads((artifact.path / MANIFEST_NAME).read_text())
+        manifest["backend"] = "auto"
+        (artifact.path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        legacy = InferenceSession(artifact.path, warmup=False)
+        assert legacy.backend == "dense"
+        x = tiny_dataset.test_x[:12]
+        dense = InferenceSession(micro_bundle, warmup=False).predict(x)
+        np.testing.assert_array_equal(legacy.predict(x).predictions,
+                                      dense.predictions)
 
 
 class TestIntegrityChecks:

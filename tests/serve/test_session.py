@@ -111,33 +111,6 @@ class TestRuntimeNeverRebuilds:
         assert session.snn is first is artifact.snn
 
 
-class TestLayerBackends:
-    def test_auto_records_per_layer_choice(self, micro_bundle,
-                                           tiny_dataset):
-        session = InferenceSession(micro_bundle, backend="auto",
-                                   warmup=False)
-        result = session.predict(tiny_dataset.test_x[:6])
-        assert result.layer_backends is not None
-        assert set(result.layer_backends.values()) <= {"dense", "event",
-                                                       "mixed"}
-        assert result.to_dict()["layer_backends"] == result.layer_backends
-        # per-image stream results carry their batch's map too
-        streamed = next(iter(
-            session.predict_stream(iter(tiny_dataset.test_x[:2]))))
-        assert streamed.layer_backends is not None
-
-    def test_auto_predictions_match_dense(self, micro_bundle,
-                                          tiny_dataset):
-        x = tiny_dataset.test_x[:12]
-        dense = InferenceSession(micro_bundle, backend="dense",
-                                 warmup=False).predict(x)
-        auto = InferenceSession(micro_bundle, backend="auto",
-                                warmup=False).predict(x)
-        np.testing.assert_array_equal(auto.predictions, dense.predictions)
-        # traces record what actually ran, whatever selected it
-        assert set(dense.layer_backends.values()) == {"dense"}
-
-
 class TestSessionLifecycle:
     def test_closed_session_fails_loudly(self, micro_bundle, tiny_dataset):
         """A retired session raises on predict instead of half-working."""

@@ -80,6 +80,9 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "simulate.backend" in err
         assert "did you mean 'event'" in err
+        assert main(["simulate", "--backend", "auto"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown backend 'auto'; available: dense, event" in err
 
     def test_bad_training_params_are_usage_errors(self, capsys):
         assert main(["simulate", "--epochs", "0"]) == 2
@@ -148,6 +151,10 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "simulate.backend" in err
         assert "did you mean 'event'" in err
+        assert main(["run", "--preset", "micro-smoke",
+                     "--backend", "auto"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown backend 'auto'; available: dense, event" in err
 
     def test_invalid_config_is_a_usage_error_with_suggestion(self, capsys,
                                                              tmp_path):

@@ -25,11 +25,11 @@ def _write_suite(tmp_path, baseline_speedup, fresh_speedup):
     base.write_text(json.dumps({
         "schema_version": 2,
         "records": [{**record, "speedup": baseline_speedup,
-                     "scatter_speedup": 1.0, "auto_vs_best": 1.0}]}))
+                     "scatter_speedup": 1.0}]}))
     fresh.write_text(json.dumps({
         "schema_version": 2,
         "records": [{**record, "speedup": fresh_speedup,
-                     "scatter_speedup": 1.0, "auto_vs_best": 1.0}]}))
+                     "scatter_speedup": 1.0}]}))
     return base, fresh
 
 
