@@ -69,31 +69,70 @@ class Base2Kernel:
         x = np.asarray(x)
 
         def fire(values):
-            values = np.asarray(values, dtype=np.float64)
-            positive = values > 0
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                raw = self.tau * np.log(theta0 / np.where(positive, values, 1.0)) / math.log(self.base)
-            dt = np.ceil(raw - GRID_SNAP_TOL)  # on-grid values (incl. float32-rounded) fire on time
-            dt = np.maximum(dt, 0.0)
-            finite = np.isfinite(dt)
-            out = np.where(finite, dt, 0).astype(np.int64)
-            no_fire = ~positive | ~finite
-            if window is not None:
-                no_fire |= out > window
-            return np.where(no_fire, NO_SPIKE, out)
+            return self.fire(np.array(values, dtype=np.float64), theta0,
+                             window)
 
         return map_images(fire, x, x.shape, np.int64)
 
+    def fire(self, membrane: np.ndarray, theta0: float = 1.0,
+             window: int | None = None) -> np.ndarray:
+        """:meth:`spike_time` of a float64 array, computed in place.
+
+        ``membrane`` is scratch space (overwritten when contiguous).  A
+        positive value takes the closed form
+        ``max(ceil(tau * log(theta0 / x) / log(base) - tol), 0)`` one
+        float operation at a time, in that order, so its time is bitwise
+        the out-of-place formula's.  The rest never fire:
+        clamped to 0 first, each becomes +inf or NaN, and with a
+        ``window`` one final lookup maps those and every later time to
+        ``NO_SPIKE``.  That path takes no boolean mask: a masked copy's
+        random branches cost more than all of the arithmetic.
+        """
+        buf = membrane.reshape(-1)   # 1-d: a 0-d input still takes out=
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.maximum(buf, 0.0, out=buf)
+            np.divide(theta0, buf, out=buf)
+            np.log(buf, out=buf)
+            np.multiply(self.tau, buf, out=buf)
+            np.divide(buf, math.log(self.base), out=buf)
+            # on-grid values (incl. float32-rounded) fire on time
+            np.subtract(buf, GRID_SNAP_TOL, out=buf)
+            np.ceil(buf, out=buf)
+            np.maximum(buf, 0.0, out=buf)
+        if window is None:
+            np.copyto(buf, NO_SPIKE, where=~np.isfinite(buf))
+            return buf.astype(np.int64).reshape(membrane.shape)
+        # NaN and +inf clip to window + 1 too, which reads NO_SPIKE
+        late = max(window + 1, 0)
+        np.fmin(buf, late, out=buf)
+        lookup = np.append(np.arange(late), NO_SPIKE)
+        return lookup.take(buf.astype(np.int64)).reshape(membrane.shape)
+
     def decode(self, dt, theta0: float = 1.0) -> np.ndarray:
         """Value represented by a spike at relative time ``dt`` (Eq. 7
-        integrand), over image slices on every allowed core."""
+        integrand), over image slices on every allowed core.
+
+        Integer times gather from :meth:`decode_table`, the processor's
+        LUT; its entries are the same float operations on the same
+        times, so the gather is bitwise the formula.
+        """
         dt = np.asarray(dt)
+        if dt.dtype.kind in "iu" and (not dt.size or dt.min() >= NO_SPIKE):
+            table = self.decode_table(int(dt.max()) if dt.size else 0,
+                                      theta0)
+            return map_images(table.take, dt, dt.shape, np.float64)
 
         def value(times):
             vals = theta0 * self.value(np.maximum(times, 0))
             return np.where(times == NO_SPIKE, 0.0, vals)
 
         return map_images(value, dt, dt.shape, np.float64)
+
+    def decode_table(self, top: int, theta0: float = 1.0) -> np.ndarray:
+        """Decoded values of the spike times ``0..top``, then ``0.0``:
+        indexed by a spike time, ``NO_SPIKE`` (-1) reads the zero."""
+        values = theta0 * self.value(np.arange(max(top, -1) + 1))
+        return np.append(values, 0.0)
 
     def grid(self, window: int, theta0: float = 1.0) -> np.ndarray:
         """All representable values within a window, descending (dt = 0..window)."""

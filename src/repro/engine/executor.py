@@ -10,7 +10,8 @@ thin :class:`CodingScheme` strategies over it.
 The executor owns everything every stack used to reimplement privately:
 
 * the per-layer affine map (conv / linear through the tensor
-  primitives) and its output-shape inference;
+  primitives) and its output-shape inference, and the closed-form TTFS
+  conv layer fused into one pass (:func:`integrate_fire_conv`);
 * time-domain max pooling (earliest spike wins) and the documented
   decode/pool/re-encode lowering of average pooling;
 * spike-statistics bookkeeping (:class:`LayerTrace`, SOP counting);
@@ -34,7 +35,13 @@ import numpy as np
 
 from ..cat.kernels import NO_SPIKE
 from ..events import EventStream, conv_offset_coverage, scatter_chunks
-from ..tensor import Tensor, avg_pool2d, conv2d as conv2d_op, max_pool2d
+from ..tensor import (
+    Tensor,
+    avg_pool2d,
+    conv2d as conv2d_op,
+    im2col,
+    max_pool2d,
+)
 from ..threads import map_images
 from .plan import scatter_add_rows
 
@@ -84,18 +91,73 @@ def affine(spec, x: np.ndarray, include_bias: bool = True) -> np.ndarray:
                             spec.padding).data
             return out.transpose(0, 2, 3, 1)  # the GEMM's (N, OH, OW, C)
 
-        # each image is oh * ow GEMM rows; slices start on a multiple of
-        # 16 rows so BLAS tiles every row as in the whole batch, and
-        # one-row images (a GEMV each) never split
-        rows = oh * ow
-        unit = 16 // math.gcd(16, rows) if rows > 1 else max(n, 1)
         out = map_images(conv, x, (n, oh, ow, c_out), np.float64,
-                         blas=True, unit=unit)
+                         blas=True, unit=_gemm_unit(n, oh, ow))
         return out.transpose(0, 3, 1, 2).astype(np.float64, copy=False)
     out = x @ spec.weight.T
     if include_bias:
         out = out + spec.bias
     return out.astype(np.float64, copy=False)
+
+
+def _gemm_unit(n: int, oh: int, ow: int) -> int:
+    """Images a conv GEMM's slices start on a multiple of.
+
+    Each image is ``oh * ow`` GEMM rows; slices start on a multiple of
+    16 rows so BLAS tiles every row as in the whole batch, and one-row
+    images (a GEMV each) never split.
+    """
+    rows = oh * ow
+    return 16 // math.gcd(16, rows) if rows > 1 else max(n, 1)
+
+
+def integrate_fire_conv(spec, train, kernel, theta0: float = 1.0,
+                        record_membrane: bool = False):
+    """One hidden conv layer of the closed-form TTFS path, fused.
+
+    Per image slice, on every allowed core (the conv GEMM's slicing
+    rules, as in :func:`affine`): the input times index a float32
+    table of the T+1 kernel values plus a zero for ``NO_SPIKE`` (the
+    processor's decode LUT, Eq. 17), written straight into a
+    zero-padded NHWC buffer; im2col and the float32 GEMM; the float64
+    bias; and the closed-form fire (:meth:`Base2Kernel.fire`) in place
+    on the float64 membrane.  Each step is the float operation the
+    unfused decode -> :func:`affine` -> integrate -> ``spike_time``
+    chain takes, so the spike times are bitwise equal to it.
+
+    Returns ``(times, membrane)``: NCHW int64 fire times (an NHWC
+    array's transposed view), and the NCHW float64 membrane when
+    ``record_membrane`` is set, else ``None``.
+    """
+    times, window = train.times, train.window
+    n, c_in, h, w = times.shape
+    _, c_out, oh, ow = output_shape(spec, times.shape)
+    k, s, p = spec.kernel_size, spec.stride, spec.padding
+    table = kernel.decode_table(window, theta0).astype(np.float32)
+    weight_t = spec.weight.astype(np.float32, copy=False).reshape(c_out, -1).T
+    bias = spec.bias.astype(np.float64)
+
+    def integrate(part):
+        m = len(part)
+        padded = np.zeros((m, h + 2 * p, w + 2 * p, c_in), np.float32)
+        padded[:, p:p + h, p:p + w] = table[part.transpose(0, 2, 3, 1)]
+        cols, _ = im2col(padded.transpose(0, 3, 1, 2), k, s, 0)
+        # the GEMM's rows are NHWC; the bias adds in float64
+        return np.add(cols @ weight_t, bias).reshape(m, oh, ow, c_out)
+
+    def integrate_and_fire(part):
+        return kernel.fire(integrate(part), theta0, window)
+
+    shape, unit = (n, oh, ow, c_out), _gemm_unit(n, oh, ow)
+    if not record_membrane:
+        fired = map_images(integrate_and_fire, times, shape, np.int64,
+                           blas=True, unit=unit)
+        return fired.transpose(0, 3, 1, 2), None
+    membrane = map_images(integrate, times, shape, np.float64, blas=True,
+                          unit=unit)
+    fired = map_images(lambda m: kernel.fire(m.copy(), theta0, window),
+                       membrane, shape, np.int64)
+    return fired.transpose(0, 3, 1, 2), membrane.transpose(0, 3, 1, 2)
 
 
 def output_shape(spec, in_shape: Sequence[int]) -> tuple:
@@ -148,9 +210,12 @@ def pool_times(spec, train):
     """Max-pool in the time domain: the earliest spike wins.
 
     Under TTFS coding the maximum value corresponds to the minimum spike
-    time, so spatial max-pooling is a windowed min over fire times
-    (``NO_SPIKE`` treated as +inf).  Runs over image slices on every
-    allowed core.
+    time, so spatial max-pooling is a windowed min over fire times.  It
+    runs as pairwise ``np.minimum`` over the window's taps on the
+    ``uint64`` view of the int64 times, where ``NO_SPIKE`` (-1) is the
+    largest value and so loses to any spike, over image slices on every
+    allowed core.  The taps are read channels-last, and the result is
+    an NHWC array's NCHW view: the fused conv layers write NHWC.
     """
     from ..snn.spikes import SpikeTrain
 
@@ -160,17 +225,17 @@ def pool_times(spec, train):
     ow = (w - k) // s + 1
 
     def earliest(times):
-        big = np.where(times == NO_SPIKE, np.iinfo(np.int64).max, times)
-        sn, sc, sh, sw = big.strides
-        view = np.lib.stride_tricks.as_strided(
-            big, shape=(len(times), c, oh, ow, k, k),
-            strides=(sn, sc, sh * s, sw * s, sh, sw), writeable=False,
-        )
-        pooled = view.min(axis=(4, 5))
-        return np.where(pooled == np.iinfo(np.int64).max, NO_SPIKE, pooled)
+        times = times.view(np.uint64)
+        taps = [times[:, y:y + s * oh:s, x:x + s * ow:s]
+                for y in range(k) for x in range(k)]
+        out = np.minimum(taps[0], taps[-1])
+        for tap in taps[1:-1]:
+            np.minimum(out, tap, out=out)
+        return out.view(np.int64)
 
-    pooled = map_images(earliest, train.times, (n, c, oh, ow), np.int64)
-    return SpikeTrain(pooled, train.window)
+    pooled = map_images(earliest, train.times.transpose(0, 2, 3, 1),
+                        (n, oh, ow, c), np.int64)
+    return SpikeTrain(pooled.transpose(0, 3, 1, 2), train.window)
 
 
 def avgpool_times(spec, train, kernel, theta0: float = 1.0):

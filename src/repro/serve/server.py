@@ -445,7 +445,8 @@ class PredictionServer:
                                   "(a CHW image or an NCHW batch)"}
         try:
             inputs = np.asarray(payload["inputs"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: an integer too large for a float64
             return 400, {"error": f"inputs are not a numeric array: {exc}"}
         if inputs.ndim == 3:
             inputs = inputs[None]
@@ -608,7 +609,8 @@ def _make_handler(server: PredictionServer):
                 return
             try:
                 payload = json.loads(self.rfile.read(length) or b"null")
-            except (ValueError, json.JSONDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:
+                # RecursionError: arrays or objects nested too deep
                 self._reply(400, {"error": f"request body is not valid "
                                            f"JSON: {exc}"})
                 return

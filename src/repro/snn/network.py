@@ -16,7 +16,8 @@ test-suite:
   the fire-phase threshold sweep (this is what the hardware does);
 * ``closed_form`` — fast: decode the whole spike train at once (the
   affine map is linear, so integration order is irrelevant) and use the
-  closed-form spike time (Eq. 14).
+  closed-form spike time (Eq. 14).  Each hidden conv layer is one fused
+  executor call (:func:`~repro.engine.executor.integrate_fire_conv`).
 
 The simulation also records the statistics the hardware model consumes:
 spike counts, synaptic operations (SOPs) and per-layer occupancy.
@@ -107,22 +108,31 @@ class EventDrivenTTFSNetwork(SpikeTrainScheme):
                            else f"ttfs-{mode.replace('_', '-')}")
 
     # ------------------------------------------------------------------
-    def _integrate(self, spec: LayerSpec, train: SpikeTrain,
-                   pool: IFNeuronPool) -> None:
-        """Integration phase: accumulate PSPs into the pool's membranes."""
+    def _timestep_pool(self, spec: LayerSpec, train: SpikeTrain,
+                       out_shape) -> IFNeuronPool:
+        """Timestep integration phase: a fresh pool that has accumulated
+        each step's decoded PSPs, then the once-per-window bias."""
         theta0 = self.config.theta0
-        if self.mode == "timestep":
-            for t in range(train.window + 1):
-                mask = train.mask_at(t)
-                if not mask.any():
-                    continue
-                decoded_step = mask * float(self.kernel.value(t)) * theta0
-                pool.integrate(executor.affine(spec, decoded_step,
-                                               include_bias=False))
-        else:
-            decoded = train.decode(self.kernel, theta0)
-            pool.integrate(executor.affine(spec, decoded, include_bias=False))
+        pool = IFNeuronPool(shape=out_shape, kernel=self.kernel,
+                            theta0=theta0)
+        for t in range(train.window + 1):
+            mask = train.mask_at(t)
+            if not mask.any():
+                continue
+            decoded_step = mask * float(self.kernel.value(t)) * theta0
+            pool.integrate(executor.affine(spec, decoded_step,
+                                           include_bias=False))
         pool.add_bias(executor.bias_shaped(spec))
+        return pool
+
+    def _decode_integrate(self, spec: LayerSpec,
+                          train: SpikeTrain) -> np.ndarray:
+        """Closed-form integration phase: the whole window decoded at
+        once (the affine map is linear, so integration order is
+        irrelevant), plus the once-per-window bias (Eq. 4)."""
+        decoded = train.decode(self.kernel, self.config.theta0)
+        return (executor.affine(spec, decoded, include_bias=False)
+                + executor.bias_shaped(spec))
 
     def _integrate_and_fire_early(self, spec: LayerSpec, train: SpikeTrain,
                                   pool: IFNeuronPool) -> SpikeTrain:
@@ -285,15 +295,15 @@ class EventDrivenTTFSNetwork(SpikeTrainScheme):
             return self._weight_layer_events(spec, train, ctx)
         cfg = self.config
         out_shape = executor.output_shape(spec, train.shape)
-        pool = IFNeuronPool(shape=out_shape, kernel=self.kernel,
-                            theta0=cfg.theta0)
         in_spikes = train.num_spikes
         sops = executor.layer_sops(spec, in_spikes)
         name = f"{spec.kind}{ctx.weight_index}"
 
         if spec.is_output:
-            self._integrate(spec, train, pool)
-            output = pool.membrane * self.snn.output_scale
+            membrane = (self._timestep_pool(spec, train, out_shape).membrane
+                        if self.mode == "timestep"
+                        else self._decode_integrate(spec, train))
+            output = membrane * self.snn.output_scale
             ctx.record(LayerTrace(
                 name=name + "(out)", input_spikes=in_spikes, output_spikes=0,
                 neurons=int(np.prod(out_shape)), sops=sops,
@@ -301,18 +311,27 @@ class EventDrivenTTFSNetwork(SpikeTrainScheme):
             return output
 
         if self.early_firing:
+            pool = IFNeuronPool(shape=out_shape, kernel=self.kernel,
+                                theta0=cfg.theta0)
             out_train = self._integrate_and_fire_early(spec, train, pool)
+            membrane = pool.membrane
+        elif self.mode == "timestep":
+            pool = self._timestep_pool(spec, train, out_shape)
+            out_train = pool.run_fire_phase(cfg.window)
+            membrane = pool.membrane
+        elif spec.kind == "conv":
+            times, membrane = executor.integrate_fire_conv(
+                spec, train, self.kernel, cfg.theta0, self.record_membranes)
+            out_train = SpikeTrain(times, cfg.window)
         else:
-            self._integrate(spec, train, pool)
-            if self.mode == "timestep":
-                out_train = pool.run_fire_phase(cfg.window)
-            else:
-                out_train = pool.fire_closed_form(cfg.window)
+            membrane = self._decode_integrate(spec, train)
+            out_train = encode_values(membrane, self.kernel, cfg.window,
+                                      cfg.theta0)
         ctx.record(LayerTrace(
             name=name, input_spikes=in_spikes,
             output_spikes=out_train.num_spikes,
             neurons=int(np.prod(out_shape)), sops=sops,
-            membrane=pool.membrane.copy() if self.record_membranes else None))
+            membrane=membrane.copy() if self.record_membranes else None))
         return out_train
 
     def finalize(self, output: np.ndarray,

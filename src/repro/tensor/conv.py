@@ -25,22 +25,24 @@ def _out_size(size: int, kernel: int, stride: int, pad: int) -> int:
 def im2col(
     x: np.ndarray, kernel: int, stride: int, pad: int
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Unfold ``x`` (N, C, H, W) into columns of shape (N*OH*OW, C*K*K)."""
+    """Unfold ``x`` (N, C, H, W) into columns of shape (N*OH*OW, C*K*K).
+
+    One strided copy per kernel tap, each reading a channels-last view,
+    which runs several times fewer, longer inner loops than one copy of
+    a (N, OH, OW, C, K, K) window view; ``x`` may be any view.
+    """
     n, c, h, w = x.shape
     oh = _out_size(h, kernel, stride, pad)
     ow = _out_size(w, kernel, stride, pad)
     if pad > 0:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    # Strided view: (N, C, OH, OW, K, K)
-    sn, sc, sh, sw = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, oh, ow, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kernel * kernel)
-    return np.ascontiguousarray(cols), (oh, ow)
+    cols = np.empty((n, oh, ow, c, kernel, kernel), dtype=x.dtype)
+    for ky in range(kernel):
+        for kx in range(kernel):
+            cols[..., ky, kx] = x[:, :, ky:ky + stride * oh:stride,
+                                  kx:kx + stride * ow:stride
+                                  ].transpose(0, 2, 3, 1)
+    return cols.reshape(n * oh * ow, c * kernel * kernel), (oh, ow)
 
 
 def col2im(

@@ -3,8 +3,8 @@
 A batch's images are independent, and numpy runs GEMMs and ufunc loops
 with the GIL released, so contiguous image slices of one call can run on
 several threads at once.  :func:`map_images` is the one place that does
-so; the engine's dense conv map, spike-time encoding, spike decoding and
-time-domain max pooling call it.  :func:`map_groups` splits a loop
+so; the engine's fused closed-form conv layer, dense conv map,
+spike-time encoding, spike decoding and time-domain max pooling call it.  :func:`map_groups` splits a loop
 instead: the fixed-point datapath's per-spike-time GEMMs, whose integer
 sums add up the same in any grouping, run as one group per thread.
 

@@ -530,3 +530,66 @@ class TestRequestBodyLimits:
     def test_limit_must_be_positive(self, micro_registry):
         with pytest.raises(ValueError, match="max_body_bytes"):
             PredictionServer(micro_registry, max_body_bytes=0)
+
+
+def _json_bodies():
+    """Arbitrary JSON documents, request-shaped ones with odd fields,
+    raw bytes and very deep nesting, as ``/predict`` bodies."""
+    from hypothesis import strategies as st
+
+    leaves = (st.none() | st.booleans() | st.integers()
+              | st.sampled_from([10 ** 400, -(10 ** 400)])
+              | st.floats() | st.text(max_size=8))
+    values = st.recursive(
+        leaves, lambda inner: (st.lists(inner, max_size=4)
+                               | st.dictionaries(st.text(max_size=6), inner,
+                                                 max_size=3)),
+        max_leaves=12)
+    images = st.builds(
+        lambda shape, fill: np.full(shape, fill).tolist(),
+        st.sampled_from([(3, 8, 8), (1, 3, 8, 8), (2, 3, 8, 8), (3, 4, 4),
+                         (0, 3, 8, 8), (8, 8)]),
+        st.floats(allow_nan=True, allow_infinity=True))
+    requests = st.fixed_dictionaries({
+        "model": st.sampled_from(["micro", "micro:latest", "micro:v9",
+                                  "nope", ""]) | st.text(max_size=5) | values,
+        "inputs": images | values})
+    documents = (requests | values).map(
+        lambda doc: json.dumps(doc).encode())
+    deep = st.integers(1, 100_000).map(lambda d: b"[" * d + b"]" * d)
+    return documents | deep | st.binary(max_size=64)
+
+
+class TestHostileBodies:
+    """Every ``/predict`` body gets an HTTP reply, and a bad one leaves
+    the server serving."""
+
+    def test_huge_integer_inputs_are_400(self, server):
+        status, body = server.handle_predict(
+            {"model": "micro", "inputs": [[10 ** 400]]})
+        assert status == 400 and "numeric" in body["error"]
+
+    def test_huge_integer_over_http_gets_a_400(self, server):
+        body = b'{"model": "micro", "inputs": [[' + b"9" * 400 + b"]]}"
+        assert _raw_post(server, str(len(body)), body) == 400
+
+    def test_deeply_nested_body_gets_a_400(self, server):
+        body = b"[" * 100_000 + b"]" * 100_000
+        assert _raw_post(server, str(len(body)), body) == 400
+
+    def test_fuzzed_bodies_get_a_reply_and_spare_the_server(self, server,
+                                                            tiny_dataset):
+        from hypothesis import given, settings
+
+        good = json.dumps({"model": "micro",
+                           "inputs": tiny_dataset.test_x[:1].tolist()}
+                          ).encode()
+
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(body=_json_bodies())
+        def check(body):
+            assert _raw_post(server, str(len(body)), body) in (200, 400,
+                                                               404, 413)
+            assert _raw_post(server, str(len(good)), good) == 200
+
+        check()

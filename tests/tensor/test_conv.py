@@ -117,6 +117,24 @@ class TestIm2Col:
         assert (oh, ow) == (8, 8)
         assert cols.shape == (2 * 64, 27)
 
+    @pytest.mark.parametrize("kernel,stride,pad",
+                             [(3, 1, 1), (3, 2, 0), (2, 2, 0), (3, 3, 1),
+                              (1, 1, 0), (5, 2, 2), (4, 3, 0)])
+    @pytest.mark.parametrize("channels_last", [False, True])
+    def test_rows_are_the_patches(self, rng, kernel, stride, pad,
+                                  channels_last):
+        x = rng.standard_normal((2, 3, 7, 6)).astype(np.float32)
+        if channels_last:   # an NCHW view of NHWC memory
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(
+                0, 3, 1, 2)
+        cols, (oh, ow) = im2col(x, kernel, stride, pad)
+        padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        want = [padded[n, :, i * stride:i * stride + kernel,
+                       j * stride:j * stride + kernel].ravel()
+                for n in range(2) for i in range(oh) for j in range(ow)]
+        assert cols.dtype == x.dtype
+        assert np.array_equal(cols, np.array(want))
+
     def test_col2im_adjoint_property(self, rng):
         """col2im is the transpose of im2col: <im2col(x), y> == <x, col2im(y)>."""
         x = rng.standard_normal((1, 2, 5, 5)).astype(np.float64)
