@@ -502,7 +502,8 @@ class SpikeTrainScheme(CodingScheme):
         return avgpool_times(spec, train, self.kernel, self.theta0)
 
     def flatten(self, train, ctx: ExecutionContext):
-        return train.reshape((train.shape[0], -1))
+        # explicit feature count: -1 cannot be inferred from 0 images
+        return train.reshape((train.shape[0], math.prod(train.shape[1:])))
 
 
 def run_pipeline(scheme: CodingScheme, images: np.ndarray):

@@ -52,27 +52,49 @@ from .spike_encoder import SpikeEncoder
 # Fixed-point datapath inference
 # ----------------------------------------------------------------------
 
-#: Bits per limb when a product table is too wide for exact float64 sums.
+#: Bits per limb when a GEMM group's sums could leave float64's exact
+#: integer range.
 LIMB_BITS = 26
 
 
-def _exact_limbs(table: np.ndarray, fan_in: int) -> List[np.ndarray]:
-    """``table`` as float64 limbs whose ``fan_in``-term sums are exact.
+def _peaks(table: np.ndarray) -> List[int]:
+    """``max|table[u]|`` per row ``u``, as Python ints (no overflow in
+    the bounds they enter)."""
+    return np.abs(table).max(axis=1).tolist()
 
-    A float64 holds every integer below 2**53, so a sum of at most
-    ``fan_in`` table entries is exact in any order while
-    ``max|table| * fan_in < 2**53``.  A wider table splits into base
-    2**LIMB_BITS limbs (``table == sum(limb_k << LIMB_BITS * k)``,
-    the top limb signed) that are summed separately and recombined in
-    int64.  Every layer the repo builds fits in one limb.
+
+def _gemm_dtype(peak: int, count: int) -> np.dtype:
+    """The operand dtype of one spike time's GEMM.
+
+    Each output of the GEMM sums at most ``count`` table entries of
+    magnitude at most ``peak``, so every partial sum, in any order, is
+    an integer of magnitude at most ``peak * count``.  float32 holds
+    every integer below 2**24, float64 every one below 2**53.
+    """
+    return np.dtype(np.float32 if peak * count < 1 << 24 else np.float64)
+
+
+def _exact_limbs(table: np.ndarray, counts) -> List[np.ndarray]:
+    """``table`` as int64 limbs whose GEMM group sums are exact in float64.
+
+    Row ``u`` of ``table`` holds the products at one spike time, and an
+    output row of that time's GEMM sums at most ``counts[u]`` of them.
+    A group adds its GEMMs into one float64 sum, so every partial sum
+    is an integer of magnitude at most ``sum_u max|table[u]| *
+    counts[u]``, exact while that bound is below 2**53 (tighter than
+    ``max|table| * fan_in``).  A wider table splits into base
+    2**LIMB_BITS limbs (``table == sum(limb_k << LIMB_BITS * k)``, the
+    top limb signed) that are summed separately and recombined in
+    int64; a lower limb is below 2**LIMB_BITS, exact while the counts
+    sum below 2**27.  Every layer the repo builds fits in one limb.
     """
     limbs = []
     rest = table
-    while max(int(rest.max()), -int(rest.min())) * fan_in >= 1 << 53:
+    while sum(p * c for p, c in zip(_peaks(rest), counts)) >= 1 << 53:
         limbs.append(rest & ((1 << LIMB_BITS) - 1))
         rest = rest >> LIMB_BITS
     limbs.append(rest)
-    return [limb.astype(np.float64) for limb in limbs]
+    return limbs
 
 
 @dataclass
@@ -199,40 +221,73 @@ class FixedPointInference(SpikeTrainScheme):
         columns += (qt.signs < 0) * dtype.type(levels + 1)
         return np.ascontiguousarray(np.moveaxis(columns, 0, -1))
 
+    def _spike_codes(self, times: np.ndarray) -> np.ndarray:
+        """Spike times as unsigned codes ``time + 1`` (uint8 up to
+        T=254): ``NO_SPIKE`` becomes 0, which is also what the zero
+        padding of an unfolding reads."""
+        dtype = np.min_scalar_type(self.snn.config.window - NO_SPIKE)
+        return (times - NO_SPIKE).astype(dtype)
+
     def _products_linear(self, times: np.ndarray, qt) -> np.ndarray:
-        """Fixed-point PSP sums for a linear layer.
+        """Fixed-point PSP sums for a linear layer: ``times`` (N, in)
+        spike times through ``qt`` (out, in).  Returns (N, out)
+        accumulator values (int64 at the PE scale); see
+        :meth:`_products_codes`."""
+        return self._products_codes(self._spike_codes(times), qt)
 
-        ``times``: (N, in) spike times; a conv layer passes its im2col
-        unfolding, which its (C_out, C_in, K, K) weights flatten to
-        match.  Returns (N, out) accumulator values (int64 at the PE
-        scale).  For each spike time ``u``, the inputs firing at ``u``
-        form a 0/1 matrix and their weights' table entries at ``u`` a
-        matrix of integers; their float64 GEMM is an exact integer sum
-        (see :func:`_exact_limbs`), so the T GEMMs reproduce the PE's
-        integer accumulation bitwise.
+    def _products_codes(self, codes: np.ndarray, qt) -> np.ndarray:
+        """Fixed-point PSP sums of (N, in) spike codes (``time + 1``, 0
+        for no spike) through weights that flatten to (out, in); a conv
+        layer passes its im2col unfolding.
 
-        Every partial sum of those terms is exact too, so the spike
-        times split into groups (:func:`repro.threads.map_groups`), one
-        per thread, that each sum their own GEMMs; the groups' sums add
-        up in int64 to the same accumulator in any grouping.
+        For each spike time ``u``, the inputs firing at ``u`` form a 0/1
+        matrix and their weights' table entries at ``u`` a matrix of
+        integers, and one GEMM sums them per output.  A row of the 0/1
+        matrix holds only the inputs that fire at ``u``, so every
+        partial sum of GEMM ``u`` is an integer of magnitude at most
+        ``peak_u * count_u``: ``peak_u = max|table[u]|``, and
+        ``count_u`` the most inputs of any one output row that fire at
+        ``u``.  GEMM ``u`` runs in float32 while that bound is below
+        2**24, else in float64 (:func:`_gemm_dtype`), and either way
+        equals the PE's integer accumulation bitwise.  The GEMMs add
+        into float64 sums, exact while ``sum_u peak_u * count_u`` is
+        below 2**53; a wider table splits into limbs
+        (:func:`_exact_limbs`).
+
+        One ``bincount`` over ``row * (T+2) + code`` counts every row's
+        inputs per spike time; the spike times present and every
+        ``count_u`` come from it.  Every partial sum of the terms is
+        exact too, so the spike times split into groups
+        (:func:`repro.threads.map_groups`), one per thread, that each
+        sum their own GEMMs; the groups' sums add up in int64 to the
+        same accumulator in any grouping.
         """
-        n, d_in = times.shape
+        n, d_in = codes.shape
         columns = self._columns[id(qt)].reshape(d_in, -1)
         acc = np.zeros((n, columns.shape[1]), dtype=np.int64)
-        present = np.unique(times[times != NO_SPIKE])
+        width = self.snn.config.window + 2
+        rows = np.arange(0, n * width, width)[:, None] + codes
+        count = np.bincount(rows.ravel(), minlength=n * width).reshape(
+            n, width).max(axis=0, initial=0)
+        count[0] = 0                            # code 0: no spike
+        present = np.flatnonzero(count)         # codes: time + 1
         if not len(present):
             return acc
-        limbs = _exact_limbs(self._product_table(present, qt), d_in)
+        count = count[present].tolist()
+        limbs = _exact_limbs(self._product_table(present - 1, qt), count)
+        operands = [[row.astype(_gemm_dtype(peak, c))
+                     for row, peak, c in zip(limb, _peaks(limb), count)]
+                    for limb in limbs]
 
         def group(indices) -> List[np.ndarray]:
             sums = [np.zeros(acc.shape) for _ in limbs]
             for i in indices:
-                at_u = times == present[i]
+                at_u = codes == int(present[i])   # a uint8 compare
                 inputs = np.flatnonzero(at_u.any(axis=0))
-                onehot = at_u[:, inputs].astype(np.float64)
+                at_u = at_u[:, inputs]
                 cols = columns[inputs]
-                for limb, total in zip(limbs, sums):
-                    total += onehot @ limb[i].take(cols)
+                for limb, total in zip(operands, sums):
+                    total += at_u.astype(limb[i].dtype) @ limb[i].take(cols)
             return sums
 
         for sums in threads.map_groups(group, len(present)):
@@ -309,15 +364,12 @@ class FixedPointInference(SpikeTrainScheme):
 
     def _products_conv(self, times: np.ndarray, qt,
                        spec: LayerSpec) -> np.ndarray:
-        """Fixed-point PSP sums for a conv layer via im2col unfolding."""
+        """Fixed-point PSP sums for a conv layer via im2col unfolding of
+        its spike codes, whose zero padding is "no spike"."""
         n = times.shape[0]
-        k = spec.kernel_size
-        # Unfold spike times; NO_SPIKE padding must survive the zero-pad,
-        # so shift times by +1 (0 becomes "no spike") and undo after.
-        shifted = np.where(times == NO_SPIKE, 0, times + 1).astype(np.float64)
-        cols, (oh, ow) = im2col(shifted, k, spec.stride, spec.padding)
-        col_times = np.where(cols == 0, NO_SPIKE, cols - 1)
-        acc = self._products_linear(col_times, qt)
+        cols, (oh, ow) = im2col(self._spike_codes(times), spec.kernel_size,
+                                spec.stride, spec.padding)
+        acc = self._products_codes(cols, qt)
         c_out = qt.codes.shape[0]
         return acc.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import threads
+
 
 @dataclass(frozen=True)
 class LogQuantConfig:
@@ -109,8 +111,17 @@ class QuantizedTensor:
 
 
 def quantize_tensor(w: np.ndarray, config: LogQuantConfig) -> QuantizedTensor:
-    """Quantise a weight tensor per Eq. 15 (per-tensor FSR = max|w|)."""
-    w = np.asarray(w, dtype=np.float64)
+    """Quantise a weight tensor per Eq. 15 (per-tensor FSR = max|w|).
+
+    The FSR is one reduction over the whole tensor.  Given it, every
+    code is elementwise, so the codes are computed in float64 over
+    slices of the leading (C_out) axis on every allowed core
+    (:func:`repro.threads.map_images`), bitwise equal to one pass over
+    the whole tensor.
+    """
+    w = np.asarray(w)
+    if w.dtype not in (np.float32, np.float64):
+        w = w.astype(np.float64)
     fsr = float(np.abs(w).max())
     if config.align_fsr and fsr > 0.0:
         # Snap the full-scale range onto the log2 grid (rounding up so no
@@ -125,16 +136,20 @@ def quantize_tensor(w: np.ndarray, config: LogQuantConfig) -> QuantizedTensor:
             fsr=0.0,
             config=config,
         )
-    signs = np.where(w < 0, -1, 1).astype(np.int8)
-    mags = np.abs(w)
-    with np.errstate(divide="ignore"):
-        # continuous level position in the log2 grid relative to FSR (>= 0)
-        raw = (math.log2(fsr) - np.log2(np.where(mags > 0, mags, fsr))) / config.step
-    k = np.round(raw).astype(np.int64)
-    # Values more than half a step below the last level flush to zero.
-    zero = (mags == 0) | (raw > config.num_levels - 0.5)
-    k = np.clip(k, 0, config.num_levels - 1)
-    codes = np.where(zero, -1, k).astype(np.int32)
+
+    def level_codes(part: np.ndarray) -> np.ndarray:
+        mags = np.abs(np.asarray(part, dtype=np.float64))
+        with np.errstate(divide="ignore"):
+            # continuous level position in the log2 grid relative to FSR (>= 0)
+            raw = (math.log2(fsr) - np.log2(np.where(mags > 0, mags, fsr))) / config.step
+        k = np.round(raw).astype(np.int64)
+        # Values more than half a step below the last level flush to zero.
+        zero = (mags == 0) | (raw > config.num_levels - 0.5)
+        k = np.clip(k, 0, config.num_levels - 1)
+        return np.where(zero, -1, k).astype(np.int32)
+
+    codes = threads.map_images(level_codes, w, w.shape, np.int32)
+    signs = np.where(w < 0, np.int8(-1), np.int8(1))
     return QuantizedTensor(codes=codes, signs=signs, fsr=fsr, config=config)
 
 

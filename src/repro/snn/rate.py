@@ -28,6 +28,7 @@ step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -185,7 +186,8 @@ class RateCodedNetwork(CodingScheme):
     def flatten(self, signal: _RateSignal,
                 ctx: ExecutionContext) -> _RateSignal:
         lead = 2 if signal.per_step else 1
-        shape = signal.data.shape[:lead] + (-1,)
+        # explicit feature count: -1 cannot be inferred from 0 images
+        shape = signal.data.shape[:lead] + (math.prod(signal.data.shape[lead:]),)
         return _RateSignal(signal.data.reshape(shape), signal.per_step)
 
     def finalize(self, readout: np.ndarray,

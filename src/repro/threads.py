@@ -4,9 +4,11 @@ A batch's images are independent, and numpy runs GEMMs and ufunc loops
 with the GIL released, so contiguous image slices of one call can run on
 several threads at once.  :func:`map_images` is the one place that does
 so; the engine's fused closed-form conv layer, dense conv map,
-spike-time encoding, spike decoding and time-domain max pooling call it.  :func:`map_groups` splits a loop
-instead: the fixed-point datapath's per-spike-time GEMMs, whose integer
-sums add up the same in any grouping, run as one group per thread.
+spike-time encoding, spike decoding and time-domain max pooling call it,
+and so does the weight quantiser, over C_out slices.
+:func:`map_groups` splits a loop instead: the fixed-point datapath's
+per-spike-time GEMMs, whose integer sums add up the same in any
+grouping, run as one group per thread.
 
 The result equals the whole-batch call bitwise whenever ``fn`` treats
 images independently and rounds each one the same way whatever the

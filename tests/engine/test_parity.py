@@ -219,6 +219,21 @@ class TestBackendParity:
         assert available_backends() == ["dense", "event"]
 
 
+@pytest.mark.parametrize("backend", ["dense", "event"])
+@pytest.mark.parametrize("name", available_schemes())
+def test_zero_image_batch(name, backend, converted_micro, tiny_dataset):
+    """A 0-image batch runs through every scheme: a (0, classes)
+    readout, or empty predictions where the result keeps no readout."""
+    from repro.engine import result_predictions
+
+    scheme = create_scheme(name, converted_micro, backend=backend)
+    result = scheme.run(tiny_dataset.test_x[:0])
+    classes = converted_micro.weight_layers[-1].weight.shape[0]
+    if hasattr(result, "output"):
+        assert result.output.shape == (0, classes)
+    assert result_predictions(result).shape == (0,)
+
+
 class TestFireSweepVectorisation:
     """The cumulative fire formulation equals the per-timestep loop."""
 

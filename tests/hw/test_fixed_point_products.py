@@ -1,10 +1,11 @@
 """The fixed-point product kernels against the per-output PE oracle.
 
 ``FixedPointInference`` evaluates Eq. 17 once per (spike time, weight
-level) and sums through exact float64 GEMMs (dense) or integer scatters
-(event).  Every accumulator must equal the per-output-channel oracle in
-:mod:`tests.hw.fixed_point_oracle` bitwise, also when the dense GEMMs
-run as groups of spike times on two threads.
+level) and sums through exact GEMMs, float32 or float64 per spike time
+(dense), or integer scatters (event).  Every accumulator must equal the
+per-output-channel oracle in :mod:`tests.hw.fixed_point_oracle`
+bitwise, also when the dense GEMMs run as groups of spike times on two
+threads.
 """
 
 import copy
@@ -15,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import threads
@@ -25,7 +26,8 @@ from repro.cat.kernels import NO_SPIKE
 from repro.engine import executor
 from repro.events import EventStream
 from repro.hw import FixedPointInference
-from repro.hw.tilesim import LIMB_BITS, _exact_limbs
+from repro.hw import tilesim
+from repro.hw.tilesim import LIMB_BITS, _exact_limbs, _gemm_dtype
 from repro.targets.pynn import compile_netlist, execute_netlist
 
 from . import fixed_point_oracle as oracle
@@ -78,11 +80,24 @@ design = dict(
     precision_bits=st.sampled_from([12, 16, 56]),
 )
 
+#: Designs around the operand dtype rule: the largest table entry near
+#: 2**peak_bits at 12-28 precision bits (the weights' FSR sets the
+#: rest).  From about 2**24 up the early spike times' GEMMs pass the
+#: float32 bound while the late ones stay under it, and from about
+#: 2**50 the group bound passes float64's, so those draws split into
+#: limbs (every sum stays below 2**63).
+dtype_design = dict(
+    {k: v for k, v in design.items() if k != "scale"},
+    window=st.sampled_from([12, 24]),
+    peak_bits=st.integers(16, 54),
+    fired=st.sampled_from(["all", "some"]),
+    precision_bits=st.integers(12, 28),
+)
+DTYPE_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
-@given(d_in=st.integers(1, 48), d_out=st.integers(1, 24), **design)
-@settings(max_examples=60, deadline=None)
-def test_linear_products_equal_oracle(d_in, d_out, seed, n, window, tau,
-                                      scale, fired, precision_bits):
+
+def _check_linear(d_in, d_out, seed, n, window, tau, scale, fired,
+                  precision_bits):
     rng = np.random.default_rng(seed)
     spec = LayerSpec("linear", weight=_weight(rng, (d_out, d_in), scale),
                      bias=np.zeros(d_out, dtype=np.float32))
@@ -99,14 +114,8 @@ def test_linear_products_equal_oracle(d_in, d_out, seed, n, window, tau,
                                   want)
 
 
-@given(c_in=st.integers(1, 4), c_out=st.integers(1, 6),
-       size=st.integers(3, 7), kernel=st.sampled_from([1, 3]),
-       stride=st.sampled_from([1, 2]), padding=st.sampled_from([0, 1]),
-       **design)
-@settings(max_examples=60, deadline=None)
-def test_conv_products_equal_oracle(c_in, c_out, size, kernel, stride,
-                                    padding, seed, n, window, tau, scale,
-                                    fired, precision_bits):
+def _check_conv(c_in, c_out, size, kernel, stride, padding, seed, n,
+                window, tau, scale, fired, precision_bits):
     rng = np.random.default_rng(seed)
     spec = LayerSpec("conv",
                      weight=_weight(rng, (c_out, c_in, kernel, kernel),
@@ -126,6 +135,95 @@ def test_conv_products_equal_oracle(c_in, c_out, size, kernel, stride,
         fp._products_conv_events(stream, qt, spec), want)
 
 
+@given(d_in=st.integers(1, 48), d_out=st.integers(1, 24), **design)
+@settings(max_examples=60, deadline=None)
+def test_linear_products_equal_oracle(d_in, d_out, seed, n, window, tau,
+                                      scale, fired, precision_bits):
+    _check_linear(d_in, d_out, seed, n, window, tau, scale, fired,
+                  precision_bits)
+
+
+@given(c_in=st.integers(1, 4), c_out=st.integers(1, 6),
+       size=st.integers(3, 7), kernel=st.sampled_from([1, 3]),
+       stride=st.sampled_from([1, 2]), padding=st.sampled_from([0, 1]),
+       **design)
+@settings(max_examples=60, deadline=None)
+def test_conv_products_equal_oracle(c_in, c_out, size, kernel, stride,
+                                    padding, seed, n, window, tau, scale,
+                                    fired, precision_bits):
+    _check_conv(c_in, c_out, size, kernel, stride, padding, seed, n,
+                window, tau, scale, fired, precision_bits)
+
+
+@given(d_in=st.integers(1, 48), d_out=st.integers(1, 24), **dtype_design)
+@example(d_in=48, d_out=8, seed=1, n=4, window=24, tau=4.0, peak_bits=54,
+         fired="all", precision_bits=28)        # a limb split
+@example(d_in=48, d_out=8, seed=2, n=4, window=24, tau=1.0, peak_bits=32,
+         fired="some", precision_bits=20)       # float32 and float64
+@DTYPE_PROPERTY
+def test_linear_dtype_rule_equals_oracle(d_in, d_out, seed, n, window, tau,
+                                         peak_bits, fired, precision_bits):
+    _check_linear(d_in, d_out, seed, n, window, tau,
+                  2.0 ** (peak_bits - precision_bits), fired, precision_bits)
+
+
+@given(c_in=st.integers(1, 4), c_out=st.integers(1, 6),
+       size=st.integers(3, 7), kernel=st.sampled_from([1, 3]),
+       stride=st.sampled_from([1, 2]), padding=st.sampled_from([0, 1, 2]),
+       **dtype_design)
+@example(c_in=4, c_out=4, size=7, kernel=3, stride=1, padding=2, seed=1,
+         n=2, window=24, tau=4.0, peak_bits=54, fired="all",
+         precision_bits=28)                     # a limb split
+@example(c_in=4, c_out=4, size=6, kernel=3, stride=2, padding=1, seed=2,
+         n=2, window=24, tau=1.0, peak_bits=32, fired="some",
+         precision_bits=20)                     # float32 and float64
+@DTYPE_PROPERTY
+def test_conv_dtype_rule_equals_oracle(c_in, c_out, size, kernel, stride,
+                                       padding, seed, n, window, tau,
+                                       peak_bits, fired, precision_bits):
+    _check_conv(c_in, c_out, size, kernel, stride, padding, seed, n,
+                window, tau, 2.0 ** (peak_bits - precision_bits), fired,
+                precision_bits)
+
+
+def test_gemm_dtype_boundary():
+    """float32 while every partial sum stays below 2**24."""
+    assert _gemm_dtype(3, ((1 << 24) - 1) // 3) == np.float32
+    assert _gemm_dtype((1 << 24) - 1, 1) == np.float32
+    assert _gemm_dtype(1 << 23, 2) == np.float64
+    assert _gemm_dtype(1 << 24, 1) == np.float64
+    assert _gemm_dtype(0, 1 << 40) == np.float32
+
+
+def _spy(name):
+    """Patch ``tilesim.<name>`` with a wrapper that records results."""
+    fn = getattr(tilesim, name)
+    seen = []
+
+    def spy(*args):
+        seen.append(fn(*args))
+        return seen[-1]
+
+    return mock.patch.object(tilesim, name, spy), seen
+
+
+def test_one_layer_straddles_float32_and_float64():
+    """At 20 precision bits and tau=1 the early spike times' GEMMs pass
+    the float32 bound and the late ones do not; one call runs both."""
+    rng = np.random.default_rng(5)
+    spec = LayerSpec("linear", weight=_weight(rng, (16, 48), 4.0),
+                     bias=np.zeros(16, dtype=np.float32))
+    fp = _scheme(spec, 24, 1.0, 20)
+    qt = fp._quantized[id(spec)]
+    times = _times(rng, (4, 48), 24, "all")
+    patch, dtypes = _spy("_gemm_dtype")
+    with patch:
+        got = fp._products_linear(times, qt)
+    assert set(dtypes) == {np.dtype(np.float32), np.dtype(np.float64)}
+    np.testing.assert_array_equal(
+        got, oracle.linear_products(fp.pe, 1.0, times, qt))
+
+
 def test_wide_table_splits_into_limbs():
     """At 56 precision bits a table entry nears 2**57: the GEMMs run on
     split limbs, here in two groups of spike times, and still match the
@@ -137,7 +235,7 @@ def test_wide_table_splits_into_limbs():
     qt = fp._quantized[id(spec)]
     times = _times(rng, (3, 64), 24, "all")
     table = fp._product_table(np.unique(times), qt)
-    limbs = _exact_limbs(table, 64)
+    limbs = _exact_limbs(table, [64] * len(table))
     assert len(limbs) > 1
     np.testing.assert_array_equal(
         sum(limb.astype(np.int64) << (LIMB_BITS * k) for k, limb in
@@ -150,17 +248,20 @@ def test_wide_table_splits_into_limbs():
         groups.append(len(parts))
         return parts
 
-    with engine_threads(2), mock.patch.object(threads, "map_groups", spy):
+    patch, used = _spy("_exact_limbs")
+    with engine_threads(2), mock.patch.object(threads, "map_groups", spy), \
+            patch:
         got = fp._products_linear(times, qt)
     assert groups == [2]
+    assert len(used) == 1 and len(used[0]) > 1   # the GEMMs ran split
     np.testing.assert_array_equal(
         got, oracle.linear_products(fp.pe, 4.0, times, qt))
 
 
 def test_narrow_table_is_one_limb():
     table = np.array([[(1 << 40) - 1, -(1 << 40)]], dtype=np.int64)
-    assert len(_exact_limbs(table, 1 << 12)) == 1
-    assert len(_exact_limbs(table, 1 << 13)) == 2
+    assert len(_exact_limbs(table, [1 << 12])) == 1
+    assert len(_exact_limbs(table, [1 << 13])) == 2
 
 
 def test_conv_weight_layer_leaves_no_garbage(converted_micro, tiny_dataset):

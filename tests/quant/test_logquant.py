@@ -1,10 +1,14 @@
 """Logarithmic quantiser (Eq. 15) semantics."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import threads
 from repro.quant import (
     LogQuantConfig,
     quantization_error,
@@ -156,3 +160,87 @@ class TestAlignedFSR:
         qt = quantize_tensor(rng.standard_normal(200) * 0.2, cfg)
         mags = qt.log2_magnitudes[qt.codes >= 0] / cfg.step
         assert np.allclose(mags, np.round(mags), atol=1e-9)
+
+
+def _whole_tensor_quantize(w, config):
+    """Eq. 15 in one float64 pass over the whole tensor: the formula
+    :func:`quantize_tensor` evaluates slice by slice."""
+    w = np.asarray(w, dtype=np.float64)
+    fsr = float(np.abs(w).max())
+    if config.align_fsr and fsr > 0.0:
+        fsr = 2.0 ** (math.ceil(math.log2(fsr) / config.step) * config.step)
+    if fsr == 0.0:
+        return (np.full(w.shape, -1, dtype=np.int32),
+                np.ones(w.shape, dtype=np.int8), 0.0)
+    signs = np.where(w < 0, -1, 1).astype(np.int8)
+    mags = np.abs(w)
+    with np.errstate(divide="ignore"):
+        raw = (math.log2(fsr) - np.log2(np.where(mags > 0, mags, fsr))
+               ) / config.step
+    k = np.clip(np.round(raw).astype(np.int64), 0, config.num_levels - 1)
+    zero = (mags == 0) | (raw > config.num_levels - 0.5)
+    return np.where(zero, -1, k).astype(np.int32), signs, fsr
+
+
+class TestSlicedQuantize:
+    """The codes are computed over C_out slices on the shared pool; at
+    one and two threads they equal the whole-tensor formula bitwise."""
+
+    @pytest.fixture(autouse=True)
+    def most_slices(self, monkeypatch):
+        monkeypatch.setattr(threads, "MIN_SLICE_ELEMENTS", 1)
+        yield
+        threads.set_threads(None)
+
+    def check(self, w, config):
+        want_codes, want_signs, want_fsr = _whole_tensor_quantize(w, config)
+        run_all = threads._run_all
+        slices = []
+
+        def spy(n_threads, calls):
+            slices.append(len(calls))
+            return run_all(n_threads, calls)
+
+        for n_threads in (1, 2):
+            threads.set_threads(n_threads)
+            with mock.patch.object(threads, "_run_all", spy):
+                qt = quantize_tensor(w, config)
+            assert qt.fsr == want_fsr
+            for got, want in ((qt.codes, want_codes), (qt.signs, want_signs)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+        return slices
+
+    @given(c_out=st.integers(2, 9), c_in=st.integers(1, 4),
+           kernel=st.sampled_from([1, 3]),
+           scale=st.sampled_from([0.0, 0.05, 1.0, 8.0, 300.0]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           bits=st.integers(2, 8), z_w=st.integers(0, 2),
+           align_fsr=st.booleans(), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_slices_equal_whole_tensor(self, c_out, c_in, kernel, scale,
+                                       dtype, bits, z_w, align_fsr, seed):
+        rng = np.random.default_rng(seed)
+        config = LogQuantConfig(bits=bits, z_w=z_w, align_fsr=align_fsr)
+        w = rng.standard_normal((c_out, c_in, kernel, kernel)) * scale
+        w[rng.random(w.shape) < 0.2] = 0.0
+        # a third of the weights halfway between two levels, where the
+        # rounding decides the code; the largest one stays, and so the FSR
+        fsr = _whole_tensor_quantize(w, config)[2]
+        edge = rng.random(w.shape) < 0.3
+        edge.flat[np.abs(w).argmax()] = False
+        levels = rng.integers(0, config.num_levels, edge.sum())
+        w[edge] = (fsr * rng.choice([-1.0, 1.0], edge.sum())
+                   * 2.0 ** (-config.step * (levels + 0.5)))
+        self.check(w.astype(dtype), config)
+
+    def test_fsr_above_one_splits(self, rng):
+        w = rng.standard_normal((6, 3, 3, 3)) * 8.0
+        slices = self.check(w, LogQuantConfig(align_fsr=True))
+        assert _whole_tensor_quantize(w, LogQuantConfig())[2] > 1.0
+        assert slices and slices[0] >= 2        # two threads split it
+
+    def test_all_zero_tensor(self):
+        w = np.zeros((4, 2, 3, 3), dtype=np.float32)
+        self.check(w, LogQuantConfig(align_fsr=True))
+        self.check(w, LogQuantConfig())
