@@ -23,10 +23,14 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..cat.schedule import METHODS
-from ..util import did_you_mean, unknown_name_message
+from ..nn import vgg7, vgg9, vgg_micro
+from ..util import Registry, did_you_mean, unknown_name_message
 
-#: Model builders a config may name (resolved in ``repro.api.stages``).
-ARCHITECTURES = ("vgg_micro", "vgg7", "vgg9")
+#: Model builders a config may name (the train stage builds from here).
+ARCHITECTURES = Registry("architecture")
+ARCHITECTURES.register("vgg_micro", vgg_micro)
+ARCHITECTURES.register("vgg7", vgg7)
+ARCHITECTURES.register("vgg9", vgg9)
 
 #: Firing-profile sources the hardware stage accepts.
 HW_PROFILES = ("simulate", "measured", "uniform")
@@ -37,6 +41,14 @@ DEFAULT_STAGES = ("train", "convert", "quantize", "simulate", "hardware")
 
 class ConfigError(ValueError):
     """An experiment config failed validation (message names the path)."""
+
+
+def _check_name(path: str, registry: Registry, name: str) -> None:
+    """``ConfigError`` at ``path`` unless ``registry`` resolves ``name``."""
+    try:
+        registry.resolve(name)
+    except KeyError as err:
+        raise ConfigError(f"{path}: {err.args[0]}") from None
 
 
 @dataclass(frozen=True)
@@ -56,11 +68,10 @@ class DatasetConfig:
     prefetch: int = 2
 
     def __post_init__(self):
-        from ..data import available
+        from ..data.datasets import DATASETS
 
-        if not self.shards and self.name not in available():
-            raise ConfigError("dataset.name: " + unknown_name_message(
-                "dataset", self.name, available()))
+        if not self.shards:
+            _check_name("dataset.name", DATASETS, self.name)
         if self.prefetch < 0:
             raise ConfigError("dataset.prefetch must be >= 0")
 
@@ -73,9 +84,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.arch not in ARCHITECTURES:
-            raise ConfigError("model.arch: " + unknown_name_message(
-                "architecture", self.arch, ARCHITECTURES))
+        _check_name("model.arch", ARCHITECTURES, self.arch)
 
 
 @dataclass(frozen=True)
@@ -172,16 +181,12 @@ class SimulateConfig:
     limit: int = 0           # cap on test images (0 = the whole split)
 
     def __post_init__(self):
-        from ..engine import available_backends, available_schemes
-        from ..engine.registry import scheme_aliases
+        from ..engine import available_backends
+        from ..engine.registry import SCHEMES
 
         # aliases ("ttfs") are accepted here and resolved canonically by
         # the engine registry when the simulate stage builds the scheme
-        if (self.scheme not in available_schemes()
-                and self.scheme not in scheme_aliases()):
-            raise ConfigError("simulate.scheme: " + unknown_name_message(
-                "coding scheme", self.scheme, available_schemes(),
-                aliases=scheme_aliases()))
+        _check_name("simulate.scheme", SCHEMES, self.scheme)
         if self.backend not in available_backends():
             raise ConfigError("simulate.backend: " + unknown_name_message(
                 "backend", self.backend, available_backends()))
@@ -268,15 +273,12 @@ class ExperimentConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
     def __post_init__(self):
-        from .stages import available_stages
+        from .stages import STAGES
 
         if not self.stages:
             raise ConfigError("stages must list at least one stage")
-        known = available_stages()
         for stage in self.stages:
-            if stage not in known:
-                raise ConfigError(unknown_name_message(
-                    "pipeline stage", stage, known))
+            _check_name("stages", STAGES, stage)
         if len(set(self.stages)) != len(self.stages):
             raise ConfigError(f"stages contains duplicates: {self.stages}")
 

@@ -15,8 +15,9 @@ the :class:`~repro.cat.convert.ConvertedSNN`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Optional
 
+from ..util import Registry
 from .config import (
     AnalysisConfig,
     ArtifactConfig,
@@ -155,41 +156,29 @@ def latency_config(layers: int = 16, window: int = 24,
 
 #: Named presets for ``repro run --preset`` (builders so each call gets
 #: a fresh, independently-validated config).
-PRESETS: Dict[str, Callable[[], ExperimentConfig]] = {
-    "micro-smoke": lambda: ExperimentConfig(
-        name="micro-smoke",
-        dataset=DatasetConfig(name="mini-cifar10"),
-        model=ModelConfig(arch="vgg_micro"),
-        train=TrainConfig(window=6, tau=2.0, epochs=1, relu_epochs=1),
-        quantize=QuantizeConfig(bits=5, z_w=1),
-        simulate=SimulateConfig(scheme="ttfs-closed-form", max_batch=8,
-                                limit=16),
-    ),
-    "micro-full": lambda: ExperimentConfig(
-        name="micro-full",
-        dataset=DatasetConfig(name="mini-cifar10"),
-        model=ModelConfig(arch="vgg_micro"),
-        train=TrainConfig(window=8, tau=2.0, epochs=2, relu_epochs=1),
-    ),
-    "paper-artefacts": lambda: ExperimentConfig(
-        name="paper-artefacts", stages=("fig2", "fig6", "table4", "latency")),
-}
+PRESETS = Registry("preset")
+
+available_presets = PRESETS.names
+preset_config = PRESETS.create
 
 
-def available_presets() -> List[str]:
-    return sorted(PRESETS)
-
-
-def preset_config(name: str) -> ExperimentConfig:
-    """Instantiate a named preset; unknown names get a suggestion."""
-    try:
-        builder = PRESETS[name]
-    except KeyError:
-        from ..util import unknown_name_message
-
-        raise KeyError(unknown_name_message(
-            "preset", name, available_presets())) from None
-    return builder()
+PRESETS.register("micro-smoke", lambda: ExperimentConfig(
+    name="micro-smoke",
+    dataset=DatasetConfig(name="mini-cifar10"),
+    model=ModelConfig(arch="vgg_micro"),
+    train=TrainConfig(window=6, tau=2.0, epochs=1, relu_epochs=1),
+    quantize=QuantizeConfig(bits=5, z_w=1),
+    simulate=SimulateConfig(scheme="ttfs-closed-form", max_batch=8,
+                            limit=16),
+))
+PRESETS.register("micro-full", lambda: ExperimentConfig(
+    name="micro-full",
+    dataset=DatasetConfig(name="mini-cifar10"),
+    model=ModelConfig(arch="vgg_micro"),
+    train=TrainConfig(window=8, tau=2.0, epochs=2, relu_epochs=1),
+))
+PRESETS.register("paper-artefacts", lambda: ExperimentConfig(
+    name="paper-artefacts", stages=("fig2", "fig6", "table4", "latency")))
 
 
 # ----------------------------------------------------------------------

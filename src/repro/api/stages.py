@@ -27,9 +27,10 @@ Four analytic stages (``fig2``/``fig6``/``table4``/``latency``) expose
 the instant paper artefacts through the same pipeline, which is how the
 legacy CLI subcommands route through one driver.
 
-Stages register by name through :func:`register_stage`; builtin names
-resolve lazily so third-party stages can plug in the same way coding
-schemes do in :mod:`repro.engine.registry`.
+Stages register by name through :func:`register_stage` into
+:data:`STAGES`, a :class:`repro.util.Registry` like the coding schemes'
+in :mod:`repro.engine.registry`, so third-party stages plug in the same
+way.
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol, runtime_checkable
+from typing import Any, Dict, List, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
 from ..engine.cache import digest
-from ..util import unknown_name_message
-from .config import ExperimentConfig
+from ..util import Registry
+from .config import ARCHITECTURES, ExperimentConfig
 
 
 class PipelineError(RuntimeError):
@@ -140,47 +141,20 @@ class PipelineStage:
 
 
 # ----------------------------------------------------------------------
-# Stage registry (mirrors engine.registry for coding schemes)
+# Stage registry (a repro.util.Registry, like the coding-scheme one)
 # ----------------------------------------------------------------------
 
-_STAGE_FACTORIES: Dict[str, Callable[[ExperimentConfig], Stage]] = {}
+#: Every pipeline stage, by name: ``factory(config) -> Stage``.
+STAGES = Registry("pipeline stage")
 
-
-def register_stage(name: str, factory: Callable = None):
-    """Register ``factory(config) -> Stage`` under ``name`` (decoratable)."""
-    def _register(fn):
-        _STAGE_FACTORIES[name] = fn
-        return fn
-
-    if factory is not None:
-        return _register(factory)
-    return _register
-
-
-def get_stage(name: str, config: ExperimentConfig) -> Stage:
-    """Instantiate a registered stage; unknown names get a suggestion."""
-    try:
-        factory = _STAGE_FACTORIES[name]
-    except KeyError:
-        raise KeyError(unknown_name_message(
-            "pipeline stage", name, available_stages())) from None
-    return factory(config)
-
-
-def available_stages() -> List[str]:
-    """All registered stage names, sorted (builtins register on import)."""
-    return sorted(_STAGE_FACTORIES)
+register_stage = STAGES.register
+get_stage = STAGES.create
+available_stages = STAGES.names
 
 
 # ----------------------------------------------------------------------
 # The paper pipeline
 # ----------------------------------------------------------------------
-
-def _model_builder(arch: str):
-    from ..nn import vgg7, vgg9, vgg_micro
-
-    return {"vgg_micro": vgg_micro, "vgg7": vgg7, "vgg9": vgg9}[arch]
-
 
 # Cache keys digest the stage's *actual* inputs — the dataset contents,
 # model weights, converted network — not just the config sections.  A
@@ -251,8 +225,8 @@ class TrainStage(PipelineStage):
         dataset = ctx.ensure_dataset()
         cfg = self.config
         nninit.seed(cfg.model.seed)
-        model = _model_builder(cfg.model.arch)(
-            num_classes=dataset.num_classes,
+        model = ARCHITECTURES.create(
+            cfg.model.arch, num_classes=dataset.num_classes,
             input_size=dataset.image_shape[-1])
         # the prefetch knob only matters for streamed shards; in-memory
         # datasets keep the loader's synchronous default
@@ -279,8 +253,8 @@ class TrainStage(PipelineStage):
     def restore(self, ctx, payload):
         dataset = ctx.ensure_dataset()
         cfg = self.config
-        model = _model_builder(cfg.model.arch)(
-            num_classes=dataset.num_classes,
+        model = ARCHITECTURES.create(
+            cfg.model.arch, num_classes=dataset.num_classes,
             input_size=dataset.image_shape[-1])
         model.load_state_dict(payload["state"])
         _install_final_activations(model, cfg.train.cat_config(

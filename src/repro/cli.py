@@ -361,7 +361,7 @@ def _cmd_evaluate(args) -> int:
     from .analysis import format_sweep_report
     from .api import ConfigError, train_micro_snn
     from .data import load
-    from .engine import ResultCache, SweepGrid, available_schemes, run_sweep
+    from .engine import ResultCache, SweepGrid, resolve_scheme_name, run_sweep
     from .serve import ArtifactError, ModelArtifact
 
     try:
@@ -373,13 +373,14 @@ def _cmd_evaluate(args) -> int:
             # fail (or create the directory) now, not after the sweep
             pathlib.Path(args.report).parent.mkdir(parents=True,
                                                    exist_ok=True)
-        schemes = tuple(s for s in
-                        (p.strip() for p in args.schemes.split(",")) if s)
-        unknown = [s for s in schemes if s not in available_schemes()]
-        if unknown:
-            raise ValueError(
-                f"unknown scheme(s) {', '.join(unknown)}; available: "
-                f"{', '.join(available_schemes())}")
+        # aliases ("ttfs", "fp") resolve here, so the report and the
+        # result-cache keys carry canonical names
+        try:
+            schemes = tuple(resolve_scheme_name(s) for s in
+                            (p.strip() for p in args.schemes.split(","))
+                            if s)
+        except KeyError as exc:
+            raise ValueError(f"--schemes: {exc.args[0]}") from None
         grid = SweepGrid(
             schemes=schemes,
             windows=tuple(int(w) for w in args.windows.split(",")),

@@ -12,7 +12,7 @@ from .datasets import (
     synthetic_cifar100,
     synthetic_tiny_imagenet,
 )
-from .loader import DataLoader, StreamingDataLoader, make_train_loader
+from .loader import StreamingDataLoader, make_train_loader
 from .shards import (
     SHARD_FORMAT_VERSION,
     ShardedDataset,
@@ -24,7 +24,6 @@ from .transforms import normalize, random_crop, random_hflip
 
 __all__ = [
     "Dataset",
-    "DataLoader",
     "StreamingDataLoader",
     "make_train_loader",
     "SHARD_FORMAT_VERSION",

@@ -25,6 +25,8 @@ from typing import Dict, Tuple
 import numpy as np
 from scipy import ndimage
 
+from ..util import Registry
+
 
 @dataclass
 class Dataset:
@@ -164,6 +166,11 @@ def make_dataset(
 # Named stand-ins for the paper's three datasets (full-geometry and mini)
 # ----------------------------------------------------------------------
 
+#: Every named dataset generator; ``load(name, **kwargs)`` calls one.
+DATASETS = Registry("dataset")
+
+
+@DATASETS.register("cifar10")
 def synthetic_cifar10(train_per_class: int = 200, test_per_class: int = 50,
                       seed: int = 10) -> Dataset:
     """32x32x3, 10 classes — CIFAR-10 stand-in."""
@@ -171,6 +178,7 @@ def synthetic_cifar10(train_per_class: int = 200, test_per_class: int = 50,
                         name="synthetic-cifar10")
 
 
+@DATASETS.register("cifar100")
 def synthetic_cifar100(train_per_class: int = 40, test_per_class: int = 10,
                        seed: int = 100) -> Dataset:
     """32x32x3, 100 classes — CIFAR-100 stand-in."""
@@ -178,6 +186,7 @@ def synthetic_cifar100(train_per_class: int = 40, test_per_class: int = 10,
                         name="synthetic-cifar100")
 
 
+@DATASETS.register("tiny-imagenet")
 def synthetic_tiny_imagenet(train_per_class: int = 20, test_per_class: int = 5,
                             seed: int = 200) -> Dataset:
     """64x64x3, 200 classes — Tiny-ImageNet stand-in."""
@@ -185,42 +194,26 @@ def synthetic_tiny_imagenet(train_per_class: int = 20, test_per_class: int = 5,
                         name="synthetic-tiny-imagenet")
 
 
+@DATASETS.register("mini-cifar10")
 def mini_cifar10(seed: int = 11) -> Dataset:
     """16x16x3, 10 classes — CI-speed CIFAR-10 analogue."""
     return make_dataset(10, 16, 60, 20, noise_std=0.30, seed=seed,
                         name="mini-cifar10")
 
 
+@DATASETS.register("mini-cifar100")
 def mini_cifar100(seed: int = 101) -> Dataset:
     """16x16x3, 20 classes — CI-speed CIFAR-100 analogue (denser classes)."""
     return make_dataset(20, 16, 30, 10, noise_std=0.30, seed=seed,
                         name="mini-cifar100")
 
 
+@DATASETS.register("mini-tiny-imagenet")
 def mini_tiny_imagenet(seed: int = 201) -> Dataset:
     """24x24x3, 30 classes — CI-speed Tiny-ImageNet analogue."""
     return make_dataset(30, 24, 20, 8, noise_std=0.32, seed=seed,
                         name="mini-tiny-imagenet")
 
 
-_REGISTRY = {
-    "cifar10": synthetic_cifar10,
-    "cifar100": synthetic_cifar100,
-    "tiny-imagenet": synthetic_tiny_imagenet,
-    "mini-cifar10": mini_cifar10,
-    "mini-cifar100": mini_cifar100,
-    "mini-tiny-imagenet": mini_tiny_imagenet,
-}
-
-
-def load(name: str, **kwargs) -> Dataset:
-    """Load a named dataset stand-in (see ``available()``)."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown dataset {name!r}; available: {sorted(_REGISTRY)}")
-    return factory(**kwargs)
-
-
-def available() -> list[str]:
-    return sorted(_REGISTRY)
+load = DATASETS.create
+available = DATASETS.names

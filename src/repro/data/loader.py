@@ -16,9 +16,6 @@ iteration for a fixed seed.  (Abandoning an epoch mid-iteration may
 leave the generator a few prefetched batches ahead of where a
 synchronous loader's would be; full epochs — the training case — always
 agree.)
-
-:class:`DataLoader` keeps the historical in-memory constructor
-signature; it is the same class with synchronous defaults.
 """
 
 from __future__ import annotations
@@ -238,25 +235,6 @@ class StreamingDataLoader:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class DataLoader(StreamingDataLoader):
-    """Historical in-memory loader interface (synchronous by default)."""
-
-    def __init__(
-        self,
-        images: np.ndarray,
-        labels: np.ndarray,
-        batch_size: int = 64,
-        shuffle: bool = True,
-        augment: bool = False,
-        crop_pad: int = 2,
-        seed: int = 7,
-        prefetch: int = 0,
-    ):
-        super().__init__(images, labels, batch_size=batch_size,
-                         shuffle=shuffle, augment=augment,
-                         crop_pad=crop_pad, seed=seed, prefetch=prefetch)
 
 
 def make_train_loader(dataset, batch_size: int = 64, shuffle: bool = True,

@@ -1,9 +1,10 @@
 """Coding-scheme registry: plug new codings in without copying the walk.
 
 Every simulator stack registers a factory ``factory(snn, **options) ->
-CodingScheme`` under a short name.  The builtin schemes live in the
-modules that implement them and are imported lazily on first lookup, so
-``repro.engine`` itself stays import-cycle free and cheap to import.
+CodingScheme`` under a short name.  The builtin schemes register when
+the modules that implement them are imported (``repro.snn.network``,
+``repro.snn.rate``, ``repro.hw.tilesim``), which ``import repro`` does
+before any lookup can run.
 
 Adding a new coding scheme::
 
@@ -17,100 +18,23 @@ after which ``create_scheme("burst", snn)``, the CLI's ``repro simulate
 --scheme burst`` and the :class:`~repro.engine.runner.PipelineRunner`
 all pick it up.
 
-:mod:`repro.targets` follows the same pattern for *export targets*
-(backends that compile artifacts for other runtimes) — the two
-registries intentionally share their lazy-provider/alias/suggestion
-mechanics.
+:data:`SCHEMES` is a :class:`repro.util.Registry`, the same class behind
+export targets, pipeline stages, presets, datasets and architectures;
+the module-level functions are its bound methods.
 """
 
 from __future__ import annotations
 
-import importlib
-from typing import Callable, Dict, List
+from ..util import Registry
 
-_FACTORIES: Dict[str, Callable] = {}
+#: Every coding scheme, by canonical name; aliases ("ttfs", "fp")
+#: register next to the schemes they name.
+SCHEMES = Registry("coding scheme")
 
-#: Builtin scheme -> module that registers it (imported on first use).
-_BUILTIN_PROVIDERS: Dict[str, str] = {
-    "ttfs-closed-form": "repro.snn.network",
-    "ttfs-timestep": "repro.snn.network",
-    "ttfs-early": "repro.snn.network",
-    "rate": "repro.snn.rate",
-    "fixed-point": "repro.hw.tilesim",
-}
-
-#: Shorthand -> canonical scheme name, resolved by every lookup path.
-_ALIASES: Dict[str, str] = {
-    "ttfs": "ttfs-closed-form",
-    "fp": "fixed-point",
-}
-
-
-def register_scheme(name: str, factory: Callable = None):
-    """Register ``factory(snn, **options)`` under ``name`` (decorator-able)."""
-    def _register(fn: Callable) -> Callable:
-        _FACTORIES[name] = fn
-        return fn
-
-    if factory is not None:
-        return _register(factory)
-    return _register
-
-
-def register_scheme_alias(alias: str, target: str) -> None:
-    """Make ``alias`` resolve to the registered scheme ``target``."""
-    if target not in available_schemes():
-        from ..util import unknown_name_message
-
-        raise KeyError(unknown_name_message(
-            "coding scheme", target, available_schemes(),
-            aliases=scheme_aliases()))
-    _ALIASES[alias] = target
-
-
-def scheme_aliases() -> Dict[str, str]:
-    """The alias -> canonical-name map (a copy)."""
-    return dict(_ALIASES)
-
-
-def resolve_scheme_name(name: str) -> str:
-    """Canonical scheme name for ``name`` (alias-aware, suggesting).
-
-    A factory genuinely registered under the name wins over an alias of
-    the same spelling, so aliases can never shadow real schemes.
-    """
-    if name not in available_schemes():
-        name = _ALIASES.get(name, name)
-    if name not in available_schemes():
-        from ..util import unknown_name_message
-
-        raise KeyError(unknown_name_message(
-            "coding scheme", name, available_schemes(),
-            aliases=scheme_aliases()))
-    return name
-
-
-def get_scheme(name: str) -> Callable:
-    """Look up a scheme factory, importing its builtin provider if needed."""
-    if name not in _FACTORIES and name not in _BUILTIN_PROVIDERS:
-        name = _ALIASES.get(name, name)
-    if name not in _FACTORIES and name in _BUILTIN_PROVIDERS:
-        importlib.import_module(_BUILTIN_PROVIDERS[name])
-    try:
-        return _FACTORIES[name]
-    except KeyError:
-        from ..util import unknown_name_message
-
-        raise KeyError(unknown_name_message(
-            "coding scheme", name, available_schemes(),
-            aliases=scheme_aliases())) from None
-
-
-def create_scheme(name: str, snn, **options):
-    """Instantiate a registered coding scheme around a converted network."""
-    return get_scheme(name)(snn, **options)
-
-
-def available_schemes() -> List[str]:
-    """All registered scheme names (builtins included, unimported too)."""
-    return sorted(set(_FACTORIES) | set(_BUILTIN_PROVIDERS))
+register_scheme = SCHEMES.register
+register_scheme_alias = SCHEMES.alias
+resolve_scheme_name = SCHEMES.resolve
+get_scheme = SCHEMES.get
+create_scheme = SCHEMES.create
+available_schemes = SCHEMES.names
+scheme_aliases = SCHEMES.aliases

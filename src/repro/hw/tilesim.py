@@ -37,7 +37,7 @@ from ..engine.executor import (
     validate_backend,
 )
 from ..engine.plan import PlanSet, scatter_add_rows
-from ..engine.registry import register_scheme
+from ..engine.registry import register_scheme, register_scheme_alias
 from ..events import EventStream, conv_offset_coverage, scatter_chunks
 from ..quant.logquant import LogQuantConfig, quantize_tensor
 from ..quant.lut import LogDomainPE, required_frac_bits
@@ -436,6 +436,9 @@ class FixedPointInference(SpikeTrainScheme):
 @register_scheme("fixed-point")
 def _make_fixed_point(snn: ConvertedSNN, **options) -> FixedPointInference:
     return FixedPointInference(snn, **options)
+
+
+register_scheme_alias("fp", "fixed-point")
 
 
 # ----------------------------------------------------------------------

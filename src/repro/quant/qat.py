@@ -27,7 +27,7 @@ import numpy as np
 
 from ..cat.activations import make_activation
 from ..cat.schedule import CATConfig
-from ..data import DataLoader, Dataset
+from ..data import Dataset, make_train_loader
 from ..nn.layers import Conv2d, Linear
 from ..nn.module import Module
 from ..optim import SGD
@@ -123,8 +123,7 @@ def qat_finetune(
     enable_weight_qat(model, quant_config)
     optimizer = SGD(model.parameters(), lr=lr, momentum=0.9,
                     weight_decay=5e-4)
-    loader = DataLoader(dataset.train_x, dataset.train_y,
-                        batch_size=batch_size, shuffle=True, seed=seed)
+    loader = make_train_loader(dataset, batch_size=batch_size, seed=seed)
     losses: List[float] = []
     model.train()
     try:

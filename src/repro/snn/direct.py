@@ -22,7 +22,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..data import DataLoader, Dataset
+from ..data import Dataset, make_train_loader
 from ..nn.layers import Conv2d, Linear, MaxPool2d
 from ..nn.module import Module
 from ..nn.sequential import Sequential
@@ -109,8 +109,7 @@ def train_direct(dataset: Dataset, epochs: int = 10, timesteps: int = 8,
                       input_size=size, channels=channels,
                       timesteps=timesteps, alpha=alpha)
     opt = SGD(model.parameters(), lr=lr, momentum=0.9, weight_decay=5e-4)
-    loader = DataLoader(dataset.train_x, dataset.train_y,
-                        batch_size=batch_size, shuffle=True, seed=seed)
+    loader = make_train_loader(dataset, batch_size=batch_size, seed=seed)
     result = DirectTrainResult(model=model)
     for _ in range(epochs):
         losses = []

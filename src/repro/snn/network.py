@@ -41,7 +41,7 @@ from ..engine.executor import (
     validate_backend,
 )
 from ..engine.plan import PlanSet
-from ..engine.registry import register_scheme
+from ..engine.registry import register_scheme, register_scheme_alias
 from ..engine.runner import PipelineRunner, merge_traces
 from ..events import EventStream
 from .neuron import IFNeuronPool
@@ -372,3 +372,6 @@ def _make_timestep(snn: ConvertedSNN, **options) -> EventDrivenTTFSNetwork:
 @register_scheme("ttfs-early")
 def _make_early(snn: ConvertedSNN, **options) -> EventDrivenTTFSNetwork:
     return EventDrivenTTFSNetwork(snn, early_firing=True, **options)
+
+
+register_scheme_alias("ttfs", "ttfs-closed-form")

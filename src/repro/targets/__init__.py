@@ -16,6 +16,8 @@ from .base import (TARGET_FORMAT_VERSION, TARGET_MANIFEST_NAME,
                    register_target, register_target_alias,
                    resolve_target_name, target_aliases,
                    write_target_manifest)
+# the builtin backends register (and alias) themselves on import
+from . import engine, pynn, tile  # noqa: F401
 
 __all__ = [
     "TARGET_FORMAT_VERSION",

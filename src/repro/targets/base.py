@@ -21,22 +21,24 @@ re-exporting the same artifact is bit-identical, and every payload file
 is digest-verified on load — the same integrity contract as the
 artifact bundles the exports are compiled from.
 
-The registry mirrors :mod:`repro.engine.registry` (the coding-scheme
-registry): builtin backends resolve through a lazy provider table,
-third-party backends register with :func:`register_target`, aliases
-resolve through :func:`register_target_alias`, and unknown names fail
-with ``repro.util.unknown_name_message`` suggestions.
+The registry is a :class:`repro.util.Registry`, the same class behind
+the coding schemes of :mod:`repro.engine.registry`: the builtin backends
+register when :mod:`repro.targets` imports them, third-party backends
+register with :func:`register_target`, aliases resolve through
+:func:`register_target_alias`, and unknown names fail with
+``repro.util.unknown_name_message`` suggestions.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import ReproError
+from ..util import Registry
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -239,85 +241,21 @@ class TargetBackend:
 
 
 # ---------------------------------------------------------------------------
-# registry (mirrors repro.engine.registry for coding schemes)
+# registry (a repro.util.Registry, like the coding-scheme one)
 # ---------------------------------------------------------------------------
 
-TargetFactory = Callable[..., TargetBackend]
+#: Every export target, by canonical name; the builtin backends
+#: (``repro.targets.engine``/``pynn``/``tile``) register and alias
+#: themselves when :mod:`repro.targets` imports them.
+TARGETS = Registry("export target")
 
-_FACTORIES: Dict[str, TargetFactory] = {}
-
-#: Builtin backends resolve lazily so importing :mod:`repro.targets`
-#: stays cheap; each module registers its backend at import time.
-_BUILTIN_PROVIDERS: Dict[str, str] = {
-    "engine": "repro.targets.engine",
-    "pynn-netlist": "repro.targets.pynn",
-    "tile-config": "repro.targets.tile",
-}
-
-_ALIASES: Dict[str, str] = {
-    "reference": "engine",
-    "pynn": "pynn-netlist",
-    "tile": "tile-config",
-}
-
-
-def available_targets() -> List[str]:
-    """Sorted canonical names of every registered target backend."""
-    return sorted(set(_FACTORIES) | set(_BUILTIN_PROVIDERS))
-
-
-def target_aliases() -> Dict[str, str]:
-    """Alias → canonical-name map (copy; mutate via the register calls)."""
-    return dict(_ALIASES)
-
-
-def register_target(name: str, factory: Optional[TargetFactory] = None):
-    """Register a backend factory under ``name`` (usable as decorator)."""
-    def _register(factory: TargetFactory) -> TargetFactory:
-        _FACTORIES[name] = factory
-        return factory
-
-    if factory is not None:
-        return _register(factory)
-    return _register
-
-
-def register_target_alias(alias: str, target: str) -> None:
-    """Make ``alias`` resolve to the registered backend ``target``."""
-    if target not in available_targets():
-        from ..util import unknown_name_message
-
-        raise KeyError(unknown_name_message(
-            "export target", target, available_targets(), aliases=_ALIASES))
-    _ALIASES[alias] = target
-
-
-def resolve_target_name(name: str) -> str:
-    """Canonical backend name for ``name`` (aliases resolve; real names
-    win over aliases), or ``KeyError`` with did-you-mean suggestions."""
-    if name in _FACTORIES or name in _BUILTIN_PROVIDERS:
-        return name
-    if name in _ALIASES:
-        return _ALIASES[name]
-    from ..util import unknown_name_message
-
-    raise KeyError(unknown_name_message(
-        "export target", name, available_targets(), aliases=_ALIASES))
-
-
-def get_target(name: str) -> TargetFactory:
-    """The backend factory registered under ``name`` (resolving aliases)."""
-    name = resolve_target_name(name)
-    if name not in _FACTORIES and name in _BUILTIN_PROVIDERS:
-        import importlib
-
-        importlib.import_module(_BUILTIN_PROVIDERS[name])
-    return _FACTORIES[name]
-
-
-def create_target(name: str, **options: Any) -> TargetBackend:
-    """Instantiate the backend registered under ``name``."""
-    return get_target(name)(**options)
+register_target = TARGETS.register
+register_target_alias = TARGETS.alias
+resolve_target_name = TARGETS.resolve
+get_target = TARGETS.get
+available_targets = TARGETS.names
+create_target = TARGETS.create
+target_aliases = TARGETS.aliases
 
 
 def describe_targets() -> List[Dict[str, str]]:

@@ -16,7 +16,8 @@ import numpy as np
 
 from ..serve.artifact import SNN_FILE
 from .base import (PathLike, TargetBackend, TargetError, TargetProgram,
-                   load_target_manifest, register_target)
+                   load_target_manifest, register_target,
+                   register_target_alias)
 
 
 class EngineProgram(TargetProgram):
@@ -61,3 +62,6 @@ class EngineTarget(TargetBackend):
         except SerializationError as exc:
             raise TargetError(f"target export at {path}: {exc}") from None
         return EngineProgram(manifest, snn)
+
+
+register_target_alias("reference", "engine")

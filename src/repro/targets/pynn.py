@@ -38,7 +38,8 @@ from ..engine.executor import FIRE_TOL
 from ..events import NO_SPIKE
 from ..tensor import im2col
 from .base import (PathLike, TargetBackend, TargetError, TargetProgram,
-                   canonical_json, load_target_manifest, register_target)
+                   canonical_json, load_target_manifest, register_target,
+                   register_target_alias)
 
 NETLIST_VERSION = 1
 NETLIST_FILE = "netlist.json"
@@ -599,3 +600,6 @@ class PyNNNetlistTarget(TargetBackend):
                 f"{path}: netlist version mismatch — this checkout reads "
                 f"version {NETLIST_VERSION}, found {found}")
         return PyNNProgram(manifest, netlist)
+
+
+register_target_alias("pynn", "pynn-netlist")

@@ -26,7 +26,8 @@ import numpy as np
 from ..engine import executor
 from ..serve.artifact import SNN_FILE
 from .base import (PathLike, TargetBackend, TargetError, TargetProgram,
-                   canonical_json, load_target_manifest, register_target)
+                   canonical_json, load_target_manifest, register_target,
+                   register_target_alias)
 
 TILE_CONFIG_VERSION = 1
 TILE_CONFIG_FILE = "tile_config.json"
@@ -147,3 +148,6 @@ class TileConfigTarget(TargetBackend):
         except SerializationError as exc:
             raise TargetError(f"target export at {path}: {exc}") from None
         return TileProgram(manifest, config, snn)
+
+
+register_target_alias("tile", "tile-config")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    DataLoader,
+    StreamingDataLoader,
     available,
     load,
     make_dataset,
@@ -78,31 +78,35 @@ class TestGenerators:
 class TestDataLoader:
     def test_batching_covers_all(self):
         ds = make_dataset(3, 8, 10, 3, seed=1)
-        loader = DataLoader(ds.train_x, ds.train_y, batch_size=8)
+        loader = StreamingDataLoader(ds.train_x, ds.train_y, batch_size=8,
+                                     prefetch=0)
         seen = sum(len(y) for _, y in loader)
         assert seen == 30
         assert len(loader) == 4
 
     def test_shuffle_changes_order(self):
         ds = make_dataset(3, 8, 20, 3, seed=1)
-        l1 = DataLoader(ds.train_x, ds.train_y, batch_size=60, shuffle=True,
-                        seed=1)
-        l2 = DataLoader(ds.train_x, ds.train_y, batch_size=60, shuffle=False)
+        l1 = StreamingDataLoader(ds.train_x, ds.train_y, batch_size=60,
+                                 shuffle=True, seed=1, prefetch=0)
+        l2 = StreamingDataLoader(ds.train_x, ds.train_y, batch_size=60,
+                                 shuffle=False, prefetch=0)
         _, y1 = next(iter(l1))
         _, y2 = next(iter(l2))
         assert not np.array_equal(y1, y2)
 
     def test_augment_changes_images(self):
         ds = make_dataset(3, 8, 10, 3, seed=1)
-        loader = DataLoader(ds.train_x, ds.train_y, batch_size=30,
-                            shuffle=False, augment=True, seed=0)
+        loader = StreamingDataLoader(ds.train_x, ds.train_y, batch_size=30,
+                                     shuffle=False, augment=True, seed=0,
+                                     prefetch=0)
         x, _ = next(iter(loader))
         assert x.shape == ds.train_x.shape
         assert not np.allclose(x, ds.train_x)
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
-            DataLoader(np.zeros((3, 1, 2, 2)), np.zeros(4))
+            StreamingDataLoader(np.zeros((3, 1, 2, 2)), np.zeros(4),
+                                prefetch=0)
 
 
 class TestTransforms:

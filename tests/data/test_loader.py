@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    DataLoader,
     StreamingDataLoader,
     make_dataset,
     make_train_loader,
@@ -44,8 +43,9 @@ def _assert_same(a, b):
 class TestBitIdentity:
     @pytest.mark.parametrize("augment", [False, True])
     def test_prefetch_matches_sync(self, dataset, augment):
-        sync = DataLoader(dataset.train_x, dataset.train_y, batch_size=32,
-                          augment=augment, seed=3)
+        sync = StreamingDataLoader(dataset.train_x, dataset.train_y,
+                                   batch_size=32, augment=augment, seed=3,
+                                   prefetch=0)
         pre = StreamingDataLoader(dataset.train_x, dataset.train_y,
                                   batch_size=32, augment=augment, seed=3,
                                   prefetch=3)
@@ -54,8 +54,9 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("prefetch", [0, 2])
     def test_sharded_matches_in_memory(self, dataset, sharded, prefetch):
-        mem = DataLoader(dataset.train_x, dataset.train_y, batch_size=16,
-                         augment=True, seed=11)
+        mem = StreamingDataLoader(dataset.train_x, dataset.train_y,
+                                  batch_size=16, augment=True, seed=11,
+                                  prefetch=0)
         stream = StreamingDataLoader(sharded, batch_size=16, augment=True,
                                      seed=11, prefetch=prefetch)
         with stream:

@@ -67,7 +67,7 @@ class TestRegistry:
 
     def test_custom_scheme_registration(self, converted_micro):
         from repro.engine import register_scheme
-        from repro.engine.registry import _FACTORIES
+        from repro.engine.registry import SCHEMES
 
         @register_scheme("test-dummy")
         def _make(snn, **kw):
@@ -77,7 +77,7 @@ class TestRegistry:
             assert "test-dummy" in available_schemes()
             assert create_scheme("test-dummy", converted_micro)[0] == "dummy"
         finally:
-            _FACTORIES.pop("test-dummy", None)
+            SCHEMES.unregister("test-dummy")
 
 
 class TestBackendParity:
@@ -174,7 +174,7 @@ class TestBackendParity:
         # same tolerance as the serial runner: a factory that takes no
         # backend kwarg must still build under an explicit backend
         from repro.engine import ParallelRunner, SchemeSpec, register_scheme
-        from repro.engine.registry import _FACTORIES
+        from repro.engine.registry import SCHEMES
 
         class Plain:
             def __init__(self, snn):
@@ -193,7 +193,7 @@ class TestBackendParity:
                                 backend="event") as runner:
                 assert runner.run(np.zeros((5, 1, 1, 1))) == 5
         finally:
-            _FACTORIES.pop("test-plain", None)
+            SCHEMES.unregister("test-plain")
 
     def test_event_backend_pools_without_dense_trains(self, converted_micro,
                                                       images):
@@ -263,15 +263,18 @@ class TestSchemeAliases:
         assert resolve_scheme_name("fp") == "fixed-point"
         assert get_scheme("ttfs") is get_scheme("ttfs-closed-form")
 
-    def test_registered_scheme_wins_over_alias(self, monkeypatch):
+    def test_registered_scheme_wins_over_alias(self):
         """A factory genuinely named like an alias is never shadowed."""
         from repro.engine import registry as reg
 
         marker = object()
-        monkeypatch.setitem(reg._FACTORIES, "ttfs",
-                            lambda snn, **kw: marker)
-        assert reg.get_scheme("ttfs")(None) is marker
-        assert reg.resolve_scheme_name("ttfs") == "ttfs"
+        reg.register_scheme("ttfs", lambda snn, **kw: marker)
+        try:
+            assert reg.get_scheme("ttfs")(None) is marker
+            assert reg.resolve_scheme_name("ttfs") == "ttfs"
+        finally:
+            reg.SCHEMES.unregister("ttfs")
+        assert reg.resolve_scheme_name("ttfs") == "ttfs-closed-form"
 
     def test_register_alias_requires_known_target(self):
         from repro.engine import register_scheme_alias

@@ -14,7 +14,7 @@ from repro.engine import (
     spec_for_point,
     variant_snn,
 )
-from repro.engine.registry import _FACTORIES, register_scheme
+from repro.engine.registry import SCHEMES, register_scheme
 from repro.engine.sweep import POINT_KEYS, REPORT_SCHEMA_VERSION
 
 
@@ -57,7 +57,7 @@ def counting_scheme():
     try:
         yield CountingScheme
     finally:
-        _FACTORIES.pop("count-stub", None)
+        SCHEMES.unregister("count-stub")
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from repro.engine import (
     executor,
     register_scheme,
 )
-from repro.engine.registry import _FACTORIES
+from repro.engine.registry import SCHEMES
 from repro.events import NO_SPIKE
 from repro.snn.spikes import SpikeTrain
 
@@ -297,7 +297,7 @@ class TestForkSafety:
                     chunks = list(runner.stream(x))
                     merged = runner.scheme.merge(chunks)
         finally:
-            _FACTORIES.pop("test-thread-report", None)
+            SCHEMES.unregister("test-thread-report")
         assert all(c.engine_threads == 1 for c in chunks)
         assert all(c.pid != os.getpid() for c in chunks)
         assert_results_identical(serial, merged)

@@ -51,10 +51,10 @@ def test_register_custom_target_and_alias():
         assert resolve_target_name("nothing") == "null"
         assert target_aliases()["nothing"] == "null"
     finally:
-        from repro.targets import base
+        from repro.targets.base import TARGETS
 
-        base._FACTORIES.pop("null", None)
-        base._ALIASES.pop("nothing", None)
+        TARGETS.unregister("null")
+    assert "nothing" not in target_aliases()
 
 
 def test_alias_to_unknown_target_fails():
@@ -62,7 +62,7 @@ def test_alias_to_unknown_target_fails():
         register_target_alias("x", "no-such-backend")
 
 
-def test_get_target_lazily_imports_builtin():
+def test_get_target_resolves_alias_to_builtin():
     factory = get_target("tile")
     assert factory().name == "tile-config"
 

@@ -226,7 +226,7 @@ class TestRunCommand:
 class TestEvaluateCommand:
     def test_unknown_scheme_is_a_usage_error(self, capsys):
         assert main(["evaluate", "--schemes", "morse-code"]) == 2
-        assert "unknown scheme" in capsys.readouterr().err
+        assert "unknown coding scheme 'morse-code'" in capsys.readouterr().err
 
     def test_empty_axis_is_a_usage_error(self, capsys):
         assert main(["evaluate", "--schemes", ","]) == 2
@@ -260,6 +260,14 @@ class TestEvaluateCommand:
         assert point["scheme"] == "ttfs-closed-form"
         assert point["window"] == 6
         assert 0.0 <= point["accuracy"] <= 1.0
+
+        # an alias resolves before the sweep: same cache key, same report
+        argv[argv.index("ttfs-closed-form")] = "ttfs"
+        assert main(argv) == 0
+        assert "cache 1 hit / 0 miss" in capsys.readouterr().out
+        (alias_point,) = json.loads(report_path.read_text())["points"]
+        for key in ("scheme", "window", "accuracy", "total_spikes"):
+            assert alias_point[key] == point[key]
 
 
 class TestVersionFlag:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cat import CATConfig, train_cat
-from repro.data import DataLoader, make_dataset
+from repro.data import StreamingDataLoader, make_dataset
 from repro.nn import init as nninit, vgg_micro
 from repro.tensor import Tensor
 
@@ -25,14 +25,17 @@ class TestTrainingWithAugmentation:
 class TestLoaderDeterminism:
     def test_same_seed_same_batches(self):
         ds = make_dataset(3, 8, 10, 3, seed=1)
-        l1 = DataLoader(ds.train_x, ds.train_y, batch_size=8, seed=9)
-        l2 = DataLoader(ds.train_x, ds.train_y, batch_size=8, seed=9)
+        l1 = StreamingDataLoader(ds.train_x, ds.train_y, batch_size=8,
+                                 seed=9, prefetch=0)
+        l2 = StreamingDataLoader(ds.train_x, ds.train_y, batch_size=8,
+                                 seed=9, prefetch=0)
         for (x1, y1), (x2, y2) in zip(l1, l2):
             assert np.array_equal(y1, y2)
 
     def test_loader_reshuffles_each_epoch(self):
         ds = make_dataset(3, 8, 20, 3, seed=1)
-        loader = DataLoader(ds.train_x, ds.train_y, batch_size=60, seed=9)
+        loader = StreamingDataLoader(ds.train_x, ds.train_y, batch_size=60,
+                                     seed=9, prefetch=0)
         _, first = next(iter(loader))
         _, second = next(iter(loader))
         assert not np.array_equal(first, second)
