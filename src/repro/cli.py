@@ -522,19 +522,24 @@ def _cmd_serve(args) -> int:
         print("repro serve: error: --max-queue must be >= 0 "
               "(0 = unbounded)", file=sys.stderr)
         return 2
+    if args.batch_wait_ms is not None and args.batch_wait_ms < 0:
+        print("repro serve: error: --batch-wait-ms must be >= 0",
+              file=sys.stderr)
+        return 2
     if args.max_body_bytes is not None and args.max_body_bytes < 1:
         print("repro serve: error: --max-body-bytes must be >= 1",
               file=sys.stderr)
         return 2
     limits = ({} if args.max_body_bytes is None
               else {"max_body_bytes": args.max_body_bytes})
+    wait = ({} if args.batch_wait_ms is None
+            else {"batch_wait_s": args.batch_wait_ms / 1000.0})
     server = PredictionServer(
         registry, host=args.host, port=args.port,
         scheme=args.scheme or None, backend=args.backend or None,
         max_batch=args.max_batch or None,
-        batch_wait_s=args.batch_wait_ms / 1000.0,
         workers=args.workers, max_queue=args.max_queue,
-        mmap=args.mmap, **limits)
+        mmap=args.mmap, **limits, **wait)
     server.start()
     fleet = (f"{args.workers} worker process(es) per model, mmap'd "
              "bundles" if args.workers else "in-process sessions")
@@ -908,9 +913,9 @@ def _add_serve_parser(sub) -> None:
                    help="override every session's execution backend")
     p.add_argument("--max-batch", type=int, default=0,
                    help="override the artifacts' max_batch (0 = keep)")
-    p.add_argument("--batch-wait-ms", type=float, default=5.0,
-                   help="how long a dispatch waits for concurrent "
-                        "requests to coalesce")
+    p.add_argument("--batch-wait-ms", type=float, default=None,
+                   help="how long a dispatch waits for more requests "
+                        "after taking every queued one (default 0)")
     p.add_argument("--workers", type=int, default=0,
                    help="session processes per model (0 = one in-process "
                         "session; N = a worker fleet sharing one mmap'd "

@@ -39,6 +39,7 @@ from ..tensor import (
     Tensor,
     avg_pool2d,
     conv2d as conv2d_op,
+    conv_gemm,
     im2col,
     max_pool2d,
 )
@@ -119,9 +120,10 @@ def integrate_fire_conv(spec, train, kernel, theta0: float = 1.0,
     rules, as in :func:`affine`): the input times index a float32
     table of the T+1 kernel values plus a zero for ``NO_SPIKE`` (the
     processor's decode LUT, Eq. 17), written straight into a
-    zero-padded NHWC buffer; im2col and the float32 GEMM; the float64
-    bias; and the closed-form fire (:meth:`Base2Kernel.fire`) in place
-    on the float64 membrane.  Each step is the float operation the
+    zero-padded NHWC buffer; im2col and the float32 GEMM
+    (:func:`~repro.tensor.conv.conv_gemm`, weight-major at few rows);
+    the float64 bias; and the closed-form fire
+    (:meth:`Base2Kernel.fire`) in place on the float64 membrane.  Each step is the float operation the
     unfused decode -> :func:`affine` -> integrate -> ``spike_time``
     chain takes, so the spike times are bitwise equal to it.
 
@@ -134,7 +136,7 @@ def integrate_fire_conv(spec, train, kernel, theta0: float = 1.0,
     _, c_out, oh, ow = output_shape(spec, times.shape)
     k, s, p = spec.kernel_size, spec.stride, spec.padding
     table = kernel.decode_table(window, theta0).astype(np.float32)
-    weight_t = spec.weight.astype(np.float32, copy=False).reshape(c_out, -1).T
+    w2d = spec.weight.astype(np.float32, copy=False).reshape(c_out, -1)
     bias = spec.bias.astype(np.float64)
 
     def integrate(part):
@@ -142,8 +144,12 @@ def integrate_fire_conv(spec, train, kernel, theta0: float = 1.0,
         padded = np.zeros((m, h + 2 * p, w + 2 * p, c_in), np.float32)
         padded[:, p:p + h, p:p + w] = table[part.transpose(0, 2, 3, 1)]
         cols, _ = im2col(padded.transpose(0, 3, 1, 2), k, s, 0)
-        # the GEMM's rows are NHWC; the bias adds in float64
-        return np.add(cols @ weight_t, bias).reshape(m, oh, ow, c_out)
+        # the GEMM's rows are NHWC; the bias adds in float64, into a
+        # C-ordered membrane whatever order the GEMM's result has
+        membrane = np.empty((m, oh, ow, c_out))
+        np.add(conv_gemm(cols, w2d), bias,
+               out=membrane.reshape(-1, c_out))
+        return membrane
 
     def integrate_and_fire(part):
         return kernel.fire(integrate(part), theta0, window)

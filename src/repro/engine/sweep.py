@@ -49,13 +49,21 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """The cross product the orchestrator enumerates (deterministic)."""
+    """The cross product the orchestrator enumerates (deterministic).
+
+    Each axis keeps the first occurrence of a repeated value, so no
+    point runs or reports twice; scheme aliases must be resolved before
+    (``repro evaluate`` does), or an alias and its scheme count as two.
+    """
 
     schemes: Tuple[str, ...]
     windows: Tuple[int, ...]
     max_batches: Tuple[int, ...] = (64,)
 
     def __post_init__(self):
+        for axis in ("schemes", "windows", "max_batches"):
+            object.__setattr__(self, axis,
+                               tuple(dict.fromkeys(getattr(self, axis))))
         if not (self.schemes and self.windows and self.max_batches):
             raise ValueError("every sweep axis needs at least one value")
         if any(t < 1 for t in self.windows):

@@ -4,10 +4,17 @@ The HTTP server handles each request on its own thread; dispatching each
 one-image request straight to the simulator would forfeit the batched
 engine's throughput.  :class:`MicroBatcher` sits between: request
 threads ``submit`` single images and block on a future, a single
-dispatcher thread drains the shared queue — waiting at most
-``max_wait_s`` to let concurrent requests pile up, never exceeding
+dispatcher thread takes the first queued image and every image queued
+behind it, then waits at most ``max_wait_s`` for more, never exceeding
 ``max_batch`` — and runs one batched ``predict`` per coalesced group,
 then fans the per-image results back out to the waiting futures.
+
+Requests that arrive while a batch runs queue up and ride the next one,
+so coalescing needs no wait: :data:`DEFAULT_BATCH_WAIT_S` is 0.  A
+positive wait only delays a lone request: on a traced seed-0 run of
+the benchmark's ``serve-http`` workload (mean batch size 1, 2-core
+host), a 5 ms wait held each request 6.2 ms in the queue, and no wait
+1.0 ms.
 
 Shutdown is race-free: ``submit`` and ``close`` serialise on one lock,
 so an item either lands in the queue *before* the stop sentinel (and is
@@ -39,6 +46,11 @@ from ..obs import BATCH_SIZE_BUCKETS, MetricsRegistry, get_registry
 #: monotonic submit time (feeds the queue-wait histogram).
 _Item = Tuple[np.ndarray, Future, float]
 
+#: Seconds the dispatcher waits for more images after draining what is
+#: already queued; the default of every batcher, server and ``repro
+#: serve --batch-wait-ms``.
+DEFAULT_BATCH_WAIT_S = 0.0
+
 
 class BatcherClosed(ReproError):
     """A submit raced (or arrived after) ``close()``; retry elsewhere."""
@@ -54,7 +66,7 @@ class MicroBatcher:
     """
 
     def __init__(self, predict_fn: Callable, max_batch: int,
-                 max_wait_s: float = 0.005,
+                 max_wait_s: float = DEFAULT_BATCH_WAIT_S,
                  registry: Optional[MetricsRegistry] = None,
                  labels: Optional[Dict[str, str]] = None):
         if max_batch < 1:
@@ -150,7 +162,9 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def _collect(self) -> List[_Item]:
-        """Block for the first item, then coalesce up to ``max_batch``."""
+        """Block for the first item, then take every item already
+        queued and any that arrive within ``max_wait_s``; at most
+        ``max_batch``."""
         first = self._queue.get()
         if first is None:
             return []
@@ -158,10 +172,10 @@ class MicroBatcher:
         deadline = time.monotonic() + self.max_wait_s
         while len(pending) < self.max_batch:
             remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
             try:
-                item = self._queue.get(timeout=remaining)
+                # past the deadline, still take what is already queued
+                item = (self._queue.get(timeout=remaining) if remaining > 0
+                        else self._queue.get_nowait())
             except queue.Empty:
                 break
             if item is None:             # close() mid-coalesce: serve

@@ -41,7 +41,7 @@ from ..engine.parallel import init_worker_state, worker_ready, worker_state
 from ..errors import ReproError
 from ..obs import get_registry
 from .artifact import ModelArtifact
-from .batching import MicroBatcher
+from .batching import DEFAULT_BATCH_WAIT_S, MicroBatcher
 
 PathLike = "os.PathLike[str]"
 
@@ -111,7 +111,7 @@ class WorkerPool:
     """
 
     def __init__(self, spec: SessionSpec, workers: int = 2,
-                 batch_wait_s: float = 0.005,
+                 batch_wait_s: float = DEFAULT_BATCH_WAIT_S,
                  start_method: Optional[str] = None,
                  ready_timeout_s: float = 300.0):
         from ..engine.executor import validate_backend

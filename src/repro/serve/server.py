@@ -58,7 +58,7 @@ import numpy as np
 from ..errors import ReproError
 from ..obs import PROMETHEUS_CONTENT_TYPE, get_registry, render_prometheus
 from .artifact import ArtifactError
-from .batching import BatcherClosed, MicroBatcher
+from .batching import DEFAULT_BATCH_WAIT_S, BatcherClosed, MicroBatcher
 from .pool import SessionSpec, WorkerPool, WorkerPoolError
 from .registry import ModelRegistry
 from .session import InferenceSession
@@ -225,7 +225,7 @@ class PredictionServer:
                  scheme: Optional[str] = None,
                  backend: Optional[str] = None,
                  max_batch: Optional[int] = None,
-                 batch_wait_s: float = 0.005,
+                 batch_wait_s: float = DEFAULT_BATCH_WAIT_S,
                  warmup: bool = True,
                  workers: int = 0,
                  max_queue: int = DEFAULT_MAX_QUEUE,
@@ -247,6 +247,8 @@ class PredictionServer:
             raise ValueError("workers must be >= 0 (0 = in-process)")
         if max_queue < 0:
             raise ValueError("max_queue must be >= 0 (0 = unbounded)")
+        if batch_wait_s < 0:
+            raise ValueError("batch_wait_s must be >= 0")
         if max_body_bytes < 1:
             raise ValueError("max_body_bytes must be >= 1")
         self.registry = registry

@@ -8,8 +8,11 @@ potentials into output spikes with the threshold sweep.
 
 The layer walk itself lives in :mod:`repro.engine`;
 :class:`EventDrivenTTFSNetwork` is the TTFS coding *strategy* over that
-walk.  Two execution paths exist and are asserted equal by the
-test-suite:
+walk.  Two execution paths exist.  They are equal in exact arithmetic
+(Eq. 4), but not in float: each sums the membrane in its own order, and
+a membrane that lands on the other side of a spike-time grid boundary
+changes every layer after it.  The test-suite asserts them equal on
+``vgg_micro`` only; on a VGG-16 they disagree on some predictions.
 
 * ``timestep`` — faithful: loop over the window, decode the spikes of
   each timestep, push their PSPs through the layer's synapses, then run

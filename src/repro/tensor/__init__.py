@@ -1,7 +1,15 @@
 """Numpy autograd engine: the training substrate for the reproduction."""
 
 from .tensor import Tensor, as_tensor, concatenate, custom_op, stack, where
-from .conv import avg_pool2d, col2im, conv2d, global_avg_pool2d, im2col, max_pool2d
+from .conv import (
+    avg_pool2d,
+    col2im,
+    conv2d,
+    conv_gemm,
+    global_avg_pool2d,
+    im2col,
+    max_pool2d,
+)
 from .functional import (
     accuracy,
     cross_entropy,
@@ -19,6 +27,7 @@ __all__ = [
     "stack",
     "where",
     "conv2d",
+    "conv_gemm",
     "max_pool2d",
     "avg_pool2d",
     "global_avg_pool2d",

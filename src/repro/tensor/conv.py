@@ -45,6 +45,45 @@ def im2col(
     return cols.reshape(n * oh * ow, c * kernel * kernel), (oh, ow)
 
 
+#: Most GEMM rows (output pixels) :func:`conv_gemm` computes
+#: weight-major.  Row-major ``cols @ w.T`` against weight-major, in ms,
+#: float32, one-thread OpenBLAS, one core of a 2-core host, best of
+#: three medians; warm cache, and in brackets with a 128 MB buffer read
+#: before each call:
+#:
+#: =====  ====  ================  ================  ================
+#: K      N     4 rows            64 rows           128 rows
+#: =====  ====  ================  ================  ================
+#: 4608   512   2.05 -> 1.09      5.79 -> 4.60      9.22 -> 8.30
+#:              (2.89 -> 1.43)    (4.86 -> 4.13)    (8.03 -> 6.82)
+#: 2304   256   0.44 -> 0.22      1.07 -> 0.84      2.34 -> 1.60
+#:              (0.73 -> 0.46)    (1.76 -> 1.32)    (2.45 -> 2.51)
+#: 1152   128   0.013 -> 0.013    0.26 -> 0.23      0.45 -> 0.43
+#: 576    64    0.004 -> 0.004    0.069 -> 0.069    0.154 -> 0.177
+#: =====  ====  ================  ================  ================
+#:
+#: Past 64 rows the gain shrinks and turns to a loss: at 128 rows with
+#: K=2304 (cold) and N=64, and at 512 rows for every shape (K=4608:
+#: 27.3 -> 28.4 cold).  On VGG-16 at batch 1 the rule takes conv4 to
+#: conv12 (64, 16 and 4 rows); at batch 32 no conv GEMM has fewer than
+#: 128 rows, so that path is unchanged.
+WEIGHT_MAJOR_ROWS = 64
+
+
+def conv_gemm(cols: np.ndarray, w2d: np.ndarray) -> np.ndarray:
+    """A conv's GEMM ``cols @ w2d.T``: (rows, K) by (N, K) -> (rows, N).
+
+    With at most :data:`WEIGHT_MAJOR_ROWS` rows it runs as
+    ``(w2d @ cols.T).T``, which BLAS tiles by the weight matrix; the
+    result is then a transposed (Fortran-ordered) view.  Both orders
+    give every output the same K-long dot product, summed in the same
+    order, so they agree bitwise (a property test pins this).
+    """
+    if len(cols) <= WEIGHT_MAJOR_ROWS:
+        return (w2d @ cols.T).T
+    return cols @ w2d.T
+
+
 def col2im(
     cols: np.ndarray,
     x_shape: Tuple[int, int, int, int],
@@ -81,7 +120,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int, pad: int
     c_out, c_in, k, _ = weight.data.shape
     cols, (oh, ow) = im2col(x.data, k, stride, pad)
     w_mat = weight.data.reshape(c_out, -1)  # (C_out, C_in*K*K)
-    out = cols @ w_mat.T  # (N*OH*OW, C_out)
+    out = conv_gemm(cols, w_mat)  # (N*OH*OW, C_out)
     if bias is not None:
         out = out + bias.data
     out_data = out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)

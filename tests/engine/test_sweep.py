@@ -75,6 +75,17 @@ class TestGrid:
                               SweepPoint("a", 8, 2), SweepPoint("a", 8, 16)]
         assert points == grid.points()  # deterministic
 
+    def test_repeated_axis_values_keep_first_occurrence(self):
+        grid = SweepGrid(schemes=("b", "a", "b"), windows=[8, 4, 8, 4],
+                         max_batches=(16, 16))
+        assert grid.schemes == ("b", "a")
+        assert grid.windows == (8, 4)
+        assert grid.max_batches == (16,)
+        assert grid.points() == [SweepPoint(s, t, 16) for s in "ba"
+                                 for t in (8, 4)]
+        assert grid.describe() == {"schemes": ["b", "a"], "windows": [8, 4],
+                                   "max_batches": [16]}
+
     def test_empty_or_invalid_axes_rejected(self):
         with pytest.raises(ValueError):
             SweepGrid(schemes=(), windows=(4,))

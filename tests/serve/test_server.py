@@ -150,6 +150,34 @@ class TestMicroBatcher:
             class_id, _ = later.result(timeout=10)
             assert class_id == 0
 
+    @pytest.mark.parametrize("max_batch, queued, sizes", [
+        (8, 3, [1, 3]),
+        (2, 5, [1, 2, 2, 1]),
+    ])
+    def test_zero_wait_dispatches_everything_already_queued(
+            self, max_batch, queued, sizes):
+        # items queue up while the first batch runs; with no wait the
+        # dispatcher must still take them all (up to max_batch) next
+        entered, release = threading.Event(), threading.Event()
+        batch_sizes = []
+
+        def gated(batch):
+            batch_sizes.append(len(batch))
+            entered.set()
+            release.wait(timeout=10)
+            return _FakeResult(batch)
+
+        with MicroBatcher(gated, max_batch=max_batch,
+                          max_wait_s=0.0) as batcher:
+            futures = [batcher.submit(np.zeros((1, 1)))]
+            assert entered.wait(timeout=10)
+            futures += [batcher.submit(np.zeros((1, 1)))
+                        for _ in range(queued)]
+            release.set()
+            for future in futures:
+                future.result(timeout=10)
+        assert batch_sizes == sizes
+
     def test_pending_counts_unresolved_items(self):
         release = threading.Event()
 
@@ -467,6 +495,9 @@ class TestServerOverrideValidation:
             PredictionServer(micro_registry, backend="evnt")
         with pytest.raises(KeyError, match="did you mean"):
             PredictionServer(micro_registry, scheme="ttfs-close-form")
+        # a negative wait would fail every channel's batcher later
+        with pytest.raises(ValueError, match="batch_wait_s"):
+            PredictionServer(micro_registry, batch_wait_s=-0.001)
         # a valid alias canonicalises
         server = PredictionServer(micro_registry, scheme="ttfs")
         assert server.scheme == "ttfs-closed-form"

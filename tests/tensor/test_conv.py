@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.tensor import (
     Tensor,
     avg_pool2d,
     col2im,
     conv2d,
+    conv_gemm,
     global_avg_pool2d,
     im2col,
     max_pool2d,
 )
+from repro.tensor.conv import WEIGHT_MAJOR_ROWS
 
 
 def naive_conv2d(x, w, b, stride, pad):
@@ -108,6 +111,51 @@ class TestConvBackward:
         b = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         conv2d(x, w, b, 1, 1).sum().backward()
         assert np.allclose(b.grad, 2 * 4 * 4)
+
+
+def _sparse_cols(rng, rows, k, density):
+    """float32 GEMM rows as a spiking layer sees them: mostly zero."""
+    values = rng.random((rows, k), dtype=np.float32)
+    return np.where(rng.random((rows, k)) < density, values, np.float32(0))
+
+
+class TestConvGemm:
+    """The few-row rule changes speed, never bits: both orders give
+    each output the same K-long dot product, summed in one order."""
+
+    @given(rows=st.integers(1, WEIGHT_MAJOR_ROWS + 16),
+           k=st.one_of(st.sampled_from([27, 576, 1152, 2304, 4608]),
+                       st.integers(1, 700).map(lambda i: 2 * i + 1)),
+           n=st.sampled_from([10, 64, 512]),
+           density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_bitwise_equal_to_row_major(self, rows, k, n, density, seed):
+        rng = np.random.default_rng(seed)
+        cols = _sparse_cols(rng, rows, k, density)
+        w2d = rng.standard_normal((n, k)).astype(np.float32)
+        got = conv_gemm(cols, w2d)
+        want = cols @ w2d.T
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_weight_major_up_to_the_cut(self, rng):
+        w2d = rng.standard_normal((8, 27)).astype(np.float32)
+        few = conv_gemm(_sparse_cols(rng, WEIGHT_MAJOR_ROWS, 27, 0.3), w2d)
+        many = conv_gemm(_sparse_cols(rng, WEIGHT_MAJOR_ROWS + 1, 27, 0.3),
+                         w2d)
+        assert few.flags.f_contiguous and not few.flags.c_contiguous
+        assert many.flags.c_contiguous
+
+    def test_conv2d_equals_the_row_major_gemm(self, rng):
+        # one 4x4 image is 16 GEMM rows: the weight-major side
+        x = rng.standard_normal((1, 3, 4, 4)).astype(np.float32)
+        w = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(5).astype(np.float32)
+        got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, pad=1).data
+        cols, _ = im2col(x, 3, 1, 1)
+        want = (cols @ w.reshape(5, -1).T + b).reshape(1, 4, 4, 5)
+        assert np.array_equal(got, want.transpose(0, 3, 1, 2))
 
 
 class TestIm2Col:

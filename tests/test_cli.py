@@ -269,6 +269,20 @@ class TestEvaluateCommand:
         for key in ("scheme", "window", "accuracy", "total_spikes"):
             assert alias_point[key] == point[key]
 
+    def test_repeated_axis_values_run_one_point(self, capsys, tmp_path):
+        # "ttfs" is an alias of "ttfs-closed-form": after resolution the
+        # schemes repeat, and so do the windows
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--schemes", "ttfs,ttfs-closed-form",
+                     "--windows", "6,6", "--max-batches", "8,8",
+                     "--epochs", "1", "--limit", "8", "--workers", "1",
+                     "--report", str(report_path)]) == 0
+        capsys.readouterr()
+        import json
+        report = json.loads(report_path.read_text())
+        (point,) = report["points"]
+        assert (point["scheme"], point["window"]) == ("ttfs-closed-form", 6)
+
 
 class TestVersionFlag:
     def test_version_prints_and_exits_zero(self, capsys):
@@ -455,35 +469,56 @@ class TestShardsCommand:
         assert "train" in capsys.readouterr().out
 
 
+@pytest.fixture()
+def served_kwargs(monkeypatch):
+    """The keyword arguments ``repro serve`` hands a stub server."""
+    import repro.serve
+
+    seen = {}
+
+    class Stub:
+        url = "http://stub"
+
+        def __init__(self, registry, **kwargs):
+            seen.update(kwargs)
+
+        def start(self):
+            return self
+
+        def serve_forever(self):
+            pass
+
+    monkeypatch.setattr(repro.serve.ModelRegistry, "names",
+                        lambda self: ["m"])
+    monkeypatch.setattr(repro.serve, "PredictionServer", Stub)
+    return seen
+
+
 class TestServeBodyLimit:
-    def test_max_body_bytes_reaches_the_server(self, monkeypatch, tmp_path):
-        import repro.serve
-
-        seen = {}
-
-        class Stub:
-            url = "http://stub"
-
-            def __init__(self, registry, **kwargs):
-                seen.update(kwargs)
-
-            def start(self):
-                return self
-
-            def serve_forever(self):
-                pass
-
-        monkeypatch.setattr(repro.serve.ModelRegistry, "names",
-                            lambda self: ["m"])
-        monkeypatch.setattr(repro.serve, "PredictionServer", Stub)
+    def test_max_body_bytes_reaches_the_server(self, served_kwargs,
+                                               tmp_path):
         registry = tmp_path / "reg"
         registry.mkdir()
         assert main(["serve", "--registry", str(registry),
                      "--max-body-bytes", "4096"]) == 0
-        assert seen["max_body_bytes"] == 4096
-        seen.clear()
+        assert served_kwargs["max_body_bytes"] == 4096
+        served_kwargs.clear()
         assert main(["serve", "--registry", str(registry)]) == 0
-        assert "max_body_bytes" not in seen    # the server's default
+        assert "max_body_bytes" not in served_kwargs  # the server's default
+
+    def test_batch_wait_reaches_the_server_in_seconds(self, served_kwargs,
+                                                      tmp_path, capsys):
+        registry = tmp_path / "reg"
+        registry.mkdir()
+        assert main(["serve", "--registry", str(registry),
+                     "--batch-wait-ms", "2.5"]) == 0
+        assert served_kwargs["batch_wait_s"] == 0.0025
+        served_kwargs.clear()
+        assert main(["serve", "--registry", str(registry)]) == 0
+        assert "batch_wait_s" not in served_kwargs    # the server's default
+        assert main(["serve", "--registry", str(registry),
+                     "--batch-wait-ms", "-1"]) == 2
+        assert "--batch-wait-ms" in capsys.readouterr().err
 
     def test_non_positive_max_body_bytes_is_a_usage_error(self, capsys,
                                                           monkeypatch,
