@@ -97,6 +97,29 @@ def _exact_limbs(table: np.ndarray, counts) -> List[np.ndarray]:
     return limbs
 
 
+def _columns_per_index(levels: int) -> int:
+    """Output columns one weight index covers at ``levels`` log levels:
+    2 while a pair of table columns (``(2L+2)**2`` entries) fits a
+    uint16 index, so up to 8-bit weights, else 1 (the pair table would
+    grow as 4**bits)."""
+    width = 2 * levels + 2
+    return 2 if width * width <= 1 << 16 else 1
+
+
+def _grouped_table(row: np.ndarray, group: int) -> np.ndarray:
+    """``row`` (one spike time's table entries) as a table of ``group``
+    entries per item: for a pair, item ``a * len(row) + b`` holds
+    ``(row[a], row[b])`` as one opaque item that ``take`` copies whole
+    and ``view(row.dtype)`` splits again."""
+    if group == 1:
+        return row
+    width = len(row)
+    pairs = np.empty((width, width, 2), dtype=row.dtype)
+    pairs[..., 0] = row[:, None]
+    pairs[..., 1] = row
+    return pairs.view(np.dtype((np.void, 2 * row.itemsize))).reshape(-1)
+
+
 @dataclass
 class FixedPointReport:
     """Outcome of a fixed-point run against the float reference.
@@ -181,8 +204,8 @@ class FixedPointInference(SpikeTrainScheme):
             id(spec): quantize_tensor(spec.weight, self.weight_config)
             for spec in snn.layers if spec.is_weight_layer
         }
-        # every call reads each weight's table column: build them once,
-        # keyed by the quantised tensor (which lives as long as self)
+        # every call reads each weight's table column: build the index
+        # once, keyed by the quantised tensor (which lives as long as self)
         self._columns = {id(qt): self._table_columns(qt)
                          for qt in self._quantized.values()}
 
@@ -212,14 +235,38 @@ class FixedPointInference(SpikeTrainScheme):
 
     @staticmethod
     def _table_columns(qt) -> np.ndarray:
-        """Each weight's column in :meth:`_product_table`, output axis
-        last: ``(in, out)`` for a linear layer, ``(C_in, K, K, C_out)``
-        for a conv layer."""
+        """Each weight's column in :meth:`_product_table`, as one index
+        per pair of adjacent output columns, ``a * (2L+2) + b``, output
+        axis last: ``(in, ceil(out/2))`` for a linear layer, ``(C_in, K,
+        K, ceil(C_out/2))`` for a conv layer.  An odd output width pads
+        with a zero-weight column.  The index is uint16 at 5-8 bits, one
+        byte per weight (uint8 below); past 8 bits each index holds one
+        column (:func:`_columns_per_index`)."""
         levels = qt.config.num_levels
-        dtype = np.min_scalar_type(-(2 * levels + 1))
-        columns = np.add(qt.codes, 1, dtype=dtype)
-        columns += (qt.signs < 0) * dtype.type(levels + 1)
-        return np.ascontiguousarray(np.moveaxis(columns, 0, -1))
+        width = 2 * levels + 2
+        group = _columns_per_index(levels)
+        dtype = np.min_scalar_type(width ** group - 1)
+        signed = np.min_scalar_type(-(width - 1))
+        columns = np.add(qt.codes, 1, dtype=signed)
+        columns += (qt.signs < 0) * signed.type(levels + 1)
+        if len(columns) % group:
+            columns = np.concatenate(
+                [columns, np.zeros_like(columns[:1])])
+        index = columns[0::group].astype(dtype)
+        if group == 2:
+            index *= dtype.type(width)
+            index += columns[1::2].astype(dtype)
+        return np.ascontiguousarray(np.moveaxis(index, 0, -1))
+
+    def _event_columns(self, qt) -> np.ndarray:
+        """Each weight's own table column, output axis last, unpacked
+        from the layer's index: what the event formulation reads."""
+        index = self._columns[id(qt)]
+        levels = qt.config.num_levels
+        if _columns_per_index(levels) == 2:
+            index = np.stack(np.divmod(index, index.dtype.type(
+                2 * levels + 2)), axis=-1).reshape(*index.shape[:-1], -1)
+        return index[..., :qt.codes.shape[0]]
 
     def _spike_codes(self, times: np.ndarray) -> np.ndarray:
         """Spike times as unsigned codes ``time + 1`` (uint8 up to
@@ -254,6 +301,13 @@ class FixedPointInference(SpikeTrainScheme):
         below 2**53; a wider table splits into limbs
         (:func:`_exact_limbs`).
 
+        The operand of GEMM ``u`` is gathered two output columns at a
+        time: the layer's index holds one entry per pair of adjacent
+        columns (:meth:`_table_columns`), and table row ``u`` becomes a
+        table of its ``(2L+2)**2`` value pairs (:func:`_grouped_table`),
+        so one ``take`` of half as many indices fills the operand.  An
+        odd output width's zero pad column is cut from the sums.
+
         One ``bincount`` over ``row * (T+2) + code`` counts every row's
         inputs per spike time; the spike times present and every
         ``count_u`` come from it.  Every partial sum of the terms is
@@ -264,7 +318,9 @@ class FixedPointInference(SpikeTrainScheme):
         """
         n, d_in = codes.shape
         columns = self._columns[id(qt)].reshape(d_in, -1)
-        acc = np.zeros((n, columns.shape[1]), dtype=np.int64)
+        span = _columns_per_index(qt.config.num_levels)
+        acc = np.zeros((n, span * columns.shape[1]), dtype=np.int64)
+        d_out = qt.codes.shape[0]
         width = self.snn.config.window + 2
         rows = np.arange(0, n * width, width)[:, None] + codes
         count = np.bincount(rows.ravel(), minlength=n * width).reshape(
@@ -272,11 +328,16 @@ class FixedPointInference(SpikeTrainScheme):
         count[0] = 0                            # code 0: no spike
         present = np.flatnonzero(count)         # codes: time + 1
         if not len(present):
-            return acc
+            return acc[:, :d_out]
         count = count[present].tolist()
         limbs = _exact_limbs(self._product_table(present - 1, qt), count)
-        operands = [[row.astype(_gemm_dtype(peak, c))
-                     for row, peak, c in zip(limb, _peaks(limb), count)]
+
+        def operand(row, peak, c):
+            dtype = _gemm_dtype(peak, c)
+            return _grouped_table(row.astype(dtype), span), dtype
+
+        operands = [[operand(*entry) for entry in zip(limb, _peaks(limb),
+                                                      count)]
                     for limb in limbs]
 
         def group(indices) -> List[np.ndarray]:
@@ -287,13 +348,14 @@ class FixedPointInference(SpikeTrainScheme):
                 at_u = at_u[:, inputs]
                 cols = columns[inputs]
                 for limb, total in zip(operands, sums):
-                    total += at_u.astype(limb[i].dtype) @ limb[i].take(cols)
+                    table, dtype = limb[i]
+                    total += at_u.astype(dtype) @ table.take(cols).view(dtype)
             return sums
 
         for sums in threads.map_groups(group, len(present)):
             for k, total in enumerate(sums):
                 acc += total.astype(np.int64) << (LIMB_BITS * k)
-        return acc
+        return acc[:, :d_out]
 
     def _products_linear_events(self, stream: EventStream,
                                 qt) -> np.ndarray:
@@ -305,7 +367,7 @@ class FixedPointInference(SpikeTrainScheme):
         are *bitwise* identical, not merely close.
         """
         n, d_in = stream.shape
-        columns = self._columns[id(qt)]
+        columns = self._event_columns(qt)
         acc = np.zeros((n, columns.shape[1]), dtype=np.int64)
         if not stream.num_events:
             return acc
@@ -343,7 +405,7 @@ class FixedPointInference(SpikeTrainScheme):
         n, c, y, x = stream.unravel()
         present, u = np.unique(stream.times, return_inverse=True)
         table = self._product_table(present, qt)
-        columns = self._columns[id(qt)]
+        columns = self._event_columns(qt)
         if plan is not None:
             coverage = ((ky, kx, ok, n[ok] * (oh * ow) + cells)
                         for ky, kx, ok, cells

@@ -1,11 +1,18 @@
-"""Reference kernel for the fixed-point log-PE product sums.
+"""Reference kernels for the fixed-point datapath's weights and sums.
 
-The straightforward formulation of Eq. 17 over a layer: for every output
-channel, multiply each fired input by that channel's weights through
-:meth:`~repro.quant.lut.LogDomainPE.multiply` and sum the integer
-products.  It is one PE call per output channel, far too slow for the
-engine, but obviously right, so the tests hold the engine's table-driven
-kernels to it bitwise.
+The straightforward formulations, far too slow for the engine but
+obviously right, so the tests hold the engine's table-driven kernels to
+them bitwise:
+
+* :func:`log_quantize` -- Eq. 15 as one float64 ``log2`` formula over
+  the whole tensor, the codes, signs and FSR that
+  :func:`repro.quant.logquant.quantize_tensor` reads from its bucket
+  table;
+* :func:`linear_products` and :func:`conv_products` -- Eq. 17 over a
+  layer: for every output channel, multiply each fired input by that
+  channel's weights through
+  :meth:`~repro.quant.lut.LogDomainPE.multiply` and sum the integer
+  products, one PE call per output channel.
 """
 
 from __future__ import annotations
@@ -16,6 +23,28 @@ import numpy as np
 
 from repro.cat.kernels import NO_SPIKE
 from repro.tensor import im2col
+
+
+def log_quantize(w, config):
+    """``(codes, signs, fsr)`` of ``w`` under ``config`` (Eq. 15): the
+    level nearest each magnitude's ``log2`` on the grid below the
+    per-tensor FSR, clipped to the L levels, -1 for zero and for
+    magnitudes more than half a step below the last level."""
+    w = np.asarray(w, dtype=np.float64)
+    fsr = float(np.abs(w).max())
+    if config.align_fsr and fsr > 0.0:
+        fsr = 2.0 ** (math.ceil(math.log2(fsr) / config.step) * config.step)
+    if fsr == 0.0:
+        return (np.full(w.shape, -1, dtype=np.int32),
+                np.ones(w.shape, dtype=np.int8), 0.0)
+    signs = np.where(w < 0, -1, 1).astype(np.int8)
+    mags = np.abs(w)
+    with np.errstate(divide="ignore"):
+        raw = (math.log2(fsr) - np.log2(np.where(mags > 0, mags, fsr))
+               ) / config.step
+    k = np.clip(np.round(raw).astype(np.int64), 0, config.num_levels - 1)
+    zero = (mags == 0) | (raw > config.num_levels - 0.5)
+    return np.where(zero, -1, k).astype(np.int32), signs, fsr
 
 
 def linear_products(pe, tau: float, times: np.ndarray, qt) -> np.ndarray:

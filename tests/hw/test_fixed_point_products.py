@@ -1,11 +1,13 @@
 """The fixed-point product kernels against the per-output PE oracle.
 
 ``FixedPointInference`` evaluates Eq. 17 once per (spike time, weight
-level) and sums through exact GEMMs, float32 or float64 per spike time
-(dense), or integer scatters (event).  Every accumulator must equal the
-per-output-channel oracle in :mod:`tests.hw.fixed_point_oracle`
-bitwise, also when the dense GEMMs run as groups of spike times on two
-threads.
+level) and sums through exact GEMMs, float32 or float64 per spike time,
+over operands gathered two output columns per index (dense), or integer
+scatters (event).  Every accumulator must equal the per-output-channel
+oracle in :mod:`tests.hw.fixed_point_oracle` bitwise, at weight widths
+of 2-9 bits (8 fills the uint16 pair index, 9 gathers one column per
+index) and odd output widths, also when the dense GEMMs run as groups
+of spike times on two threads.
 """
 
 import copy
@@ -28,16 +30,19 @@ from repro.events import EventStream
 from repro.hw import FixedPointInference
 from repro.hw import tilesim
 from repro.hw.tilesim import LIMB_BITS, _exact_limbs, _gemm_dtype
+from repro.quant import LogQuantConfig
 from repro.targets.pynn import compile_netlist, execute_netlist
 
 from . import fixed_point_oracle as oracle
 
 
-def _scheme(spec: LayerSpec, window: int, tau: float,
-            precision_bits: int) -> FixedPointInference:
+def _scheme(spec: LayerSpec, window: int, tau: float, precision_bits: int,
+            bits: int = 5) -> FixedPointInference:
     snn = ConvertedSNN(layers=[spec], config=CATConfig(window=window,
                                                        tau=tau))
-    return FixedPointInference(snn, precision_bits=precision_bits)
+    return FixedPointInference(
+        snn, precision_bits=precision_bits,
+        weight_config=LogQuantConfig(bits=bits, z_w=1, align_fsr=True))
 
 
 @contextmanager
@@ -78,6 +83,7 @@ design = dict(
     fired=st.sampled_from(["all", "none", "some", "one"]),
     # 56 bits makes the table too wide for one exact float64 limb
     precision_bits=st.sampled_from([12, 16, 56]),
+    bits=st.integers(2, 9),
 )
 
 #: Designs around the operand dtype rule: the largest table entry near
@@ -96,13 +102,26 @@ dtype_design = dict(
 DTYPE_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
+def _check_index(fp, qt, bits):
+    """Two output columns per index up to 8-bit weights (uint8 up to 4
+    bits, uint16 from 5), one column per index past that."""
+    index = fp._columns[id(qt)]
+    d_out = qt.codes.shape[0]
+    if bits <= 8:
+        assert index.dtype == (np.uint8 if bits <= 4 else np.uint16)
+        assert index.shape[-1] == (d_out + 1) // 2
+    else:
+        assert index.shape[-1] == d_out
+
+
 def _check_linear(d_in, d_out, seed, n, window, tau, scale, fired,
-                  precision_bits):
+                  precision_bits, bits):
     rng = np.random.default_rng(seed)
     spec = LayerSpec("linear", weight=_weight(rng, (d_out, d_in), scale),
                      bias=np.zeros(d_out, dtype=np.float32))
-    fp = _scheme(spec, window, tau, precision_bits)
+    fp = _scheme(spec, window, tau, precision_bits, bits)
     qt = fp._quantized[id(spec)]
+    _check_index(fp, qt, bits)
     times = _times(rng, (n, d_in), window, fired)
     want = oracle.linear_products(fp.pe, tau, times, qt)
     for n_threads in (1, 2):    # two: spike times in two GEMM groups
@@ -115,15 +134,16 @@ def _check_linear(d_in, d_out, seed, n, window, tau, scale, fired,
 
 
 def _check_conv(c_in, c_out, size, kernel, stride, padding, seed, n,
-                window, tau, scale, fired, precision_bits):
+                window, tau, scale, fired, precision_bits, bits):
     rng = np.random.default_rng(seed)
     spec = LayerSpec("conv",
                      weight=_weight(rng, (c_out, c_in, kernel, kernel),
                                     scale),
                      bias=np.zeros(c_out, dtype=np.float32), stride=stride,
                      padding=padding, kernel_size=kernel)
-    fp = _scheme(spec, window, tau, precision_bits)
+    fp = _scheme(spec, window, tau, precision_bits, bits)
     qt = fp._quantized[id(spec)]
+    _check_index(fp, qt, bits)
     times = _times(rng, (n, c_in, size, size), window, fired)
     want = oracle.conv_products(fp.pe, tau, times, qt, stride, padding)
     for n_threads in (1, 2):
@@ -136,35 +156,44 @@ def _check_conv(c_in, c_out, size, kernel, stride, padding, seed, n,
 
 
 @given(d_in=st.integers(1, 48), d_out=st.integers(1, 24), **design)
+@example(d_in=40, d_out=7, seed=4, n=3, window=24, tau=4.0, scale=0.3,
+         fired="all", precision_bits=16, bits=8)   # odd width, full uint16
+@example(d_in=40, d_out=9, seed=5, n=3, window=24, tau=4.0, scale=0.3,
+         fired="some", precision_bits=16, bits=2)
 @settings(max_examples=60, deadline=None)
 def test_linear_products_equal_oracle(d_in, d_out, seed, n, window, tau,
-                                      scale, fired, precision_bits):
+                                      scale, fired, precision_bits, bits):
     _check_linear(d_in, d_out, seed, n, window, tau, scale, fired,
-                  precision_bits)
+                  precision_bits, bits)
 
 
 @given(c_in=st.integers(1, 4), c_out=st.integers(1, 6),
        size=st.integers(3, 7), kernel=st.sampled_from([1, 3]),
        stride=st.sampled_from([1, 2]), padding=st.sampled_from([0, 1]),
        **design)
+@example(c_in=3, c_out=5, size=6, kernel=3, stride=1, padding=1, seed=6,
+         n=2, window=24, tau=4.0, scale=0.3, fired="all", precision_bits=16,
+         bits=8)                                # odd width, full uint16
 @settings(max_examples=60, deadline=None)
 def test_conv_products_equal_oracle(c_in, c_out, size, kernel, stride,
                                     padding, seed, n, window, tau, scale,
-                                    fired, precision_bits):
+                                    fired, precision_bits, bits):
     _check_conv(c_in, c_out, size, kernel, stride, padding, seed, n,
-                window, tau, scale, fired, precision_bits)
+                window, tau, scale, fired, precision_bits, bits)
 
 
 @given(d_in=st.integers(1, 48), d_out=st.integers(1, 24), **dtype_design)
 @example(d_in=48, d_out=8, seed=1, n=4, window=24, tau=4.0, peak_bits=54,
-         fired="all", precision_bits=28)        # a limb split
+         fired="all", precision_bits=28, bits=5)        # a limb split
 @example(d_in=48, d_out=8, seed=2, n=4, window=24, tau=1.0, peak_bits=32,
-         fired="some", precision_bits=20)       # float32 and float64
+         fired="some", precision_bits=20, bits=5)       # float32 and float64
 @DTYPE_PROPERTY
 def test_linear_dtype_rule_equals_oracle(d_in, d_out, seed, n, window, tau,
-                                         peak_bits, fired, precision_bits):
+                                         peak_bits, fired, precision_bits,
+                                         bits):
     _check_linear(d_in, d_out, seed, n, window, tau,
-                  2.0 ** (peak_bits - precision_bits), fired, precision_bits)
+                  2.0 ** (peak_bits - precision_bits), fired, precision_bits,
+                  bits)
 
 
 @given(c_in=st.integers(1, 4), c_out=st.integers(1, 6),
@@ -173,17 +202,18 @@ def test_linear_dtype_rule_equals_oracle(d_in, d_out, seed, n, window, tau,
        **dtype_design)
 @example(c_in=4, c_out=4, size=7, kernel=3, stride=1, padding=2, seed=1,
          n=2, window=24, tau=4.0, peak_bits=54, fired="all",
-         precision_bits=28)                     # a limb split
+         precision_bits=28, bits=5)             # a limb split
 @example(c_in=4, c_out=4, size=6, kernel=3, stride=2, padding=1, seed=2,
          n=2, window=24, tau=1.0, peak_bits=32, fired="some",
-         precision_bits=20)                     # float32 and float64
+         precision_bits=20, bits=5)             # float32 and float64
 @DTYPE_PROPERTY
 def test_conv_dtype_rule_equals_oracle(c_in, c_out, size, kernel, stride,
                                        padding, seed, n, window, tau,
-                                       peak_bits, fired, precision_bits):
+                                       peak_bits, fired, precision_bits,
+                                       bits):
     _check_conv(c_in, c_out, size, kernel, stride, padding, seed, n,
                 window, tau, 2.0 ** (peak_bits - precision_bits), fired,
-                precision_bits)
+                precision_bits, bits)
 
 
 def test_gemm_dtype_boundary():
@@ -303,12 +333,21 @@ def test_readout_agrees_across_formulations(converted_micro, tiny_dataset,
 
 def test_table_columns_are_built_once_per_layer(converted_micro,
                                                 tiny_dataset):
+    """Each layer's table columns are one uint16 index per pair of
+    output columns, one byte per weight, built with the scheme."""
     fp = FixedPointInference(converted_micro)
     assert len(fp._columns) == len(converted_micro.weight_layers)
-    assert all(c.dtype == np.int8 for c in fp._columns.values())
+    for spec in converted_micro.weight_layers:
+        index = fp._columns[id(fp._quantized[id(spec)])]
+        d_out = spec.weight.shape[0]
+        assert index.dtype == np.uint16
+        assert index.shape[-1] == (d_out + 1) // 2
+        assert index.nbytes == spec.weight.size + spec.weight[:1].size * (
+            d_out % 2)
     with mock.patch.object(FixedPointInference, "_table_columns",
                            side_effect=AssertionError("rebuilt")):
         executor.run_pipeline(fp, tiny_dataset.test_x[:2])
+        executor.run_pipeline(fp, tiny_dataset.test_x[2:3])
 
 
 class TestMapGroups:

@@ -4,7 +4,9 @@ An untrained VGG-16 at the paper's design point (T=24, tau=4) fires in
 all 16 weight layers.  One image runs through the dense integer
 datapath on two threads, with its spike-time GEMMs split into groups;
 each layer's int64 accumulator must equal the per-output-channel PE
-oracle bitwise.
+oracle bitwise.  The PE oracle reads the scheme's own quantised codes,
+so each layer's codes, signs and FSR are held to the float64 quantiser
+formula as well.
 """
 
 import numpy as np
@@ -52,6 +54,10 @@ def test_vgg16_accumulators_equal_oracle():
     for (spec, times), acc in zip(layers, accs):
         assert (times != NO_SPIKE).any()         # the layer sees spikes
         qt = fp._quantized[id(spec)]
+        codes, signs, fsr = oracle.log_quantize(spec.weight, fp.weight_config)
+        assert qt.fsr == fsr
+        np.testing.assert_array_equal(qt.codes, codes)
+        np.testing.assert_array_equal(qt.signs, signs)
         if spec.kind == "conv":
             want = oracle.conv_products(fp.pe, tau, times, qt, spec.stride,
                                         spec.padding)

@@ -1,6 +1,5 @@
 """Logarithmic quantiser (Eq. 15) semantics."""
 
-import math
 from unittest import mock
 
 import numpy as np
@@ -11,10 +10,13 @@ from hypothesis import strategies as st
 from repro import threads
 from repro.quant import (
     LogQuantConfig,
+    logquant,
     quantization_error,
     quantize_dequantize,
     quantize_tensor,
 )
+
+from ..hw.fixed_point_oracle import log_quantize
 
 
 class TestConfig:
@@ -80,6 +82,17 @@ class TestQuantize:
         qt = quantize_tensor(np.zeros(5), LogQuantConfig())
         assert np.all(qt.values == 0)
         assert qt.fsr == 0.0
+
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf],
+                                     [np.nan, np.inf, np.nan]])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("align_fsr", [False, True])
+    def test_non_finite_weights_are_rejected(self, bad, dtype, align_fsr):
+        """A diverged run's nan or inf weight has no FSR to quantise
+        against; a nan FSR used to zero the whole layer silently."""
+        w = np.array([[0.1, -0.3, *bad]], dtype=dtype)
+        with pytest.raises(ValueError, match=f"{len(bad)} non-finite"):
+            quantize_tensor(w, LogQuantConfig(align_fsr=align_fsr))
 
     def test_codes_within_range(self, rng):
         cfg = LogQuantConfig(bits=5, z_w=1)
@@ -162,29 +175,10 @@ class TestAlignedFSR:
         assert np.allclose(mags, np.round(mags), atol=1e-9)
 
 
-def _whole_tensor_quantize(w, config):
-    """Eq. 15 in one float64 pass over the whole tensor: the formula
-    :func:`quantize_tensor` evaluates slice by slice."""
-    w = np.asarray(w, dtype=np.float64)
-    fsr = float(np.abs(w).max())
-    if config.align_fsr and fsr > 0.0:
-        fsr = 2.0 ** (math.ceil(math.log2(fsr) / config.step) * config.step)
-    if fsr == 0.0:
-        return (np.full(w.shape, -1, dtype=np.int32),
-                np.ones(w.shape, dtype=np.int8), 0.0)
-    signs = np.where(w < 0, -1, 1).astype(np.int8)
-    mags = np.abs(w)
-    with np.errstate(divide="ignore"):
-        raw = (math.log2(fsr) - np.log2(np.where(mags > 0, mags, fsr))
-               ) / config.step
-    k = np.clip(np.round(raw).astype(np.int64), 0, config.num_levels - 1)
-    zero = (mags == 0) | (raw > config.num_levels - 0.5)
-    return np.where(zero, -1, k).astype(np.int32), signs, fsr
-
-
 class TestSlicedQuantize:
-    """The codes are computed over C_out slices on the shared pool; at
-    one and two threads they equal the whole-tensor formula bitwise."""
+    """The codes are read from a bucket table over C_out slices on the
+    shared pool; at one and two threads their codes, signs and FSR equal
+    the whole-tensor float64 formula (the oracle) bitwise."""
 
     @pytest.fixture(autouse=True)
     def most_slices(self, monkeypatch):
@@ -193,7 +187,7 @@ class TestSlicedQuantize:
         threads.set_threads(None)
 
     def check(self, w, config):
-        want_codes, want_signs, want_fsr = _whole_tensor_quantize(w, config)
+        want_codes, want_signs, want_fsr = log_quantize(w, config)
         run_all = threads._run_all
         slices = []
 
@@ -226,7 +220,7 @@ class TestSlicedQuantize:
         w[rng.random(w.shape) < 0.2] = 0.0
         # a third of the weights halfway between two levels, where the
         # rounding decides the code; the largest one stays, and so the FSR
-        fsr = _whole_tensor_quantize(w, config)[2]
+        fsr = log_quantize(w, config)[2]
         edge = rng.random(w.shape) < 0.3
         edge.flat[np.abs(w).argmax()] = False
         levels = rng.integers(0, config.num_levels, edge.sum())
@@ -237,10 +231,71 @@ class TestSlicedQuantize:
     def test_fsr_above_one_splits(self, rng):
         w = rng.standard_normal((6, 3, 3, 3)) * 8.0
         slices = self.check(w, LogQuantConfig(align_fsr=True))
-        assert _whole_tensor_quantize(w, LogQuantConfig())[2] > 1.0
+        assert log_quantize(w, LogQuantConfig())[2] > 1.0
         assert slices and slices[0] >= 2        # two threads split it
 
     def test_all_zero_tensor(self):
         w = np.zeros((4, 2, 3, 3), dtype=np.float32)
         self.check(w, LogQuantConfig(align_fsr=True))
         self.check(w, LogQuantConfig())
+
+    @given(c_out=st.integers(1, 9), inner=st.integers(1, 64),
+           scale=st.floats(-30.0, 3.0),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           bits=st.integers(2, 8), z_w=st.integers(0, 3),
+           align_fsr=st.booleans(), transpose=st.booleans(),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_codes_equal_formula(self, c_out, inner, scale, dtype, bits, z_w,
+                                 align_fsr, transpose, seed):
+        """Scales from 1e-30 to 1e3, with zeros, -0.0 and subnormals, in
+        contiguous and transposed tensors."""
+        rng = np.random.default_rng(seed)
+        config = LogQuantConfig(bits=bits, z_w=z_w, align_fsr=align_fsr)
+        w = (rng.standard_normal((c_out, inner)) * 10.0 ** scale).astype(dtype)
+        pick = rng.random(w.shape)
+        w[pick < 0.1] = 0.0
+        w[(pick >= 0.1) & (pick < 0.15)] = -0.0
+        tiny = pick >= 0.92
+        w[tiny] = (np.finfo(dtype).smallest_subnormal
+                   * rng.integers(1, 1 << 20, tiny.sum())
+                   * rng.choice([-1, 1], tiny.sum()))
+        self.check(w.T if transpose else w, config)
+
+    @pytest.mark.parametrize("align_fsr", [False, True])
+    @pytest.mark.parametrize("bits,z_w,fsr", [
+        (5, 1, 0.37), (5, 1, 1.0), (5, 1, 300.0), (5, 1, 1e-30),
+        (2, 0, 0.37), (4, 3, 0.37), (3, 2, 2.5), (8, 0, 0.37), (8, 1, 7.0),
+    ])
+    def test_every_float32_near_a_boundary(self, bits, z_w, fsr, align_fsr):
+        """Every float32 within 4096 ulps of each level boundary and of
+        the zero cut, both signs: where a bucket table could go wrong.
+        At 8 bits and a_w = 2 the lowest boundaries sit among the
+        subnormals."""
+        config = LogQuantConfig(bits=bits, z_w=z_w, align_fsr=align_fsr)
+        top = np.float32(fsr)
+        full_scale = log_quantize(np.array([top]), config)[2]
+        levels = np.arange(config.num_levels)
+        bounds = (full_scale * 2.0 ** (-config.step * (levels + 0.5))
+                  ).astype(np.float32)
+        bits_near = (bounds.view(np.int32)[:, None]
+                     + np.arange(-4096, 4097, dtype=np.int32)).ravel()
+        near = np.unique(bits_near[bits_near >= 0]).view(np.float32)
+        w = np.concatenate([[top], near, -near])
+        assert log_quantize(w, config)[2] == full_scale
+        self.check(w, config)
+
+    def test_few_weights_take_the_formula(self, rng, monkeypatch):
+        """The table settles all but about 1% of a 5-bit layer's
+        float32 weights; only those reach the float64 formula."""
+        formula = logquant.level_codes
+        sizes = []
+
+        def spy(mags, fsr, config):
+            sizes.append(mags.size)
+            return formula(mags, fsr, config)
+
+        monkeypatch.setattr(logquant, "level_codes", spy)
+        w = (rng.standard_normal((64, 32, 3, 3)) * 0.05).astype(np.float32)
+        self.check(w, LogQuantConfig(align_fsr=True))
+        assert 0 < sum(sizes) < 2 * 0.03 * w.size      # two quantisations
