@@ -57,13 +57,19 @@ def _update(h, obj: Any) -> None:
     elif isinstance(obj, str):
         data = obj.encode()
         h.update(b"\x00str" + str(len(data)).encode() + b":" + data)
-    elif isinstance(obj, bytes):
-        h.update(b"\x00bytes" + str(len(obj)).encode() + b":" + obj)
+    elif isinstance(obj, (bytes, bytearray, memoryview)):
+        # the payload goes in through a view, never a concatenated copy
+        data = memoryview(obj).cast("B")
+        h.update(b"\x00bytes" + str(data.nbytes).encode() + b":")
+        h.update(data)
     elif isinstance(obj, (np.ndarray, np.generic)):
         arr = np.asarray(obj)
         h.update(b"\x00ndarray" + arr.dtype.str.encode()
                  + repr(arr.shape).encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
+        # C-order bytes; a C-contiguous array is hashed in place
+        flat = np.ascontiguousarray(arr).reshape(-1)
+        h.update(flat.tobytes() if arr.dtype.hasobject
+                 else flat.view(np.uint8))
     elif isinstance(obj, (list, tuple)):
         h.update(b"\x00seq" + str(len(obj)).encode())
         for item in obj:

@@ -17,6 +17,17 @@ so the mapping is done here, from each stored member's byte offset.)
 Compressed or pre-existing bundles degrade gracefully to an in-memory
 load.
 
+A converted file is read once (:func:`read_converted`): into a private
+page-aligned buffer, or with ``mmap_mode="r"`` a read-only map, whose
+stored members are parsed at their offsets rather than through
+``np.load``.  The caller that also checks a digest of the whole file
+(``ModelArtifact.load``) hashes the same bytes while the weights are
+decoded and digested.  Stored members start their array data on a
+64-byte boundary of the file (:data:`MEMBER_ALIGNMENT`, padded through
+each local header's extra field), so a plain load hands out aligned,
+writable views of the buffer and a mapped one aligned maps; files in
+the older unpadded layout get aligned copies.
+
 Converted bundles are *versioned and digested*: the header records
 ``format_version`` (:data:`CONVERTED_FORMAT_VERSION`) and a content
 digest over the layer manifest, coding config and weight arrays.  A
@@ -29,7 +40,14 @@ npz internals.
 from __future__ import annotations
 
 import ast
+import functools
+import io
 import json
+import math
+import mmap
+import os
+import struct
+import time
 import zipfile
 from pathlib import Path
 from typing import Dict, Optional, Union
@@ -43,6 +61,15 @@ PathLike = Union[str, Path]
 #: Bump when the on-disk converted-SNN layout changes.  Loaders refuse
 #: other versions with an actionable error instead of mis-decoding.
 CONVERTED_FORMAT_VERSION = 1
+
+#: Every member ``save_converted(compress=False)`` stores starts its
+#: array data on this byte boundary of the file, so maps and reads of
+#: the file hand out aligned arrays.
+MEMBER_ALIGNMENT = 64
+
+#: Extra-field id of the padding that aligns stored members (the one
+#: Android's zipalign writes); zip readers skip unknown extra fields.
+_ALIGN_EXTRA_ID = 0xD935
 
 
 class SerializationError(RuntimeError):
@@ -125,18 +152,51 @@ def save_converted(snn, path: PathLike, compress: bool = True) -> None:
     )
     if compress:
         np.savez_compressed(path, **payload)
-    else:
-        np.savez(path, **payload)
+        return
+    path = os.fspath(path)
+    if not path.endswith(".npz"):    # as np.savez names it
+        path += ".npz"
+    _savez_aligned(path, payload)
+
+
+def _aligned_extra(offset: int, name: str) -> bytes:
+    """Local-header extra field that puts a member's data on the boundary.
+
+    A member written at ``offset`` starts its data after the 30-byte
+    local header, its name, this field (the zipalign layout: a 4-byte
+    block header, the 2-byte alignment, then zero padding) and the
+    20-byte zip64 field zipfile appends.  numpy pads each ``.npy``
+    header to a multiple of 64 bytes, so the array data lands on
+    :data:`MEMBER_ALIGNMENT` too.
+    """
+    fixed = offset + 30 + len(name.encode()) + 6 + 20
+    pad = -fixed % MEMBER_ALIGNMENT
+    return (struct.pack("<HHH", _ALIGN_EXTRA_ID, 2 + pad, MEMBER_ALIGNMENT)
+            + bytes(pad))
+
+
+def _savez_aligned(path: str, payload: Dict[str, np.ndarray]) -> None:
+    """``np.savez`` whose stored members start on :data:`MEMBER_ALIGNMENT`."""
+    with open(path, "wb") as fh, \
+            zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
+        for key, value in payload.items():
+            name = key + ".npy"
+            info = zipfile.ZipInfo(name, date_time=time.localtime()[:6])
+            info.extra = _aligned_extra(fh.tell(), name)
+            with zf.open(info, "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.asanyarray(value),
+                                          allow_pickle=False)
 
 
 def _npy_member_layout(fh, info: zipfile.ZipInfo):
     """(dtype, shape, fortran, absolute data offset) of a stored member.
 
-    ``info.header_offset`` points at the member's *local* file header,
-    whose own name/extra lengths (bytes 26-30) govern where the payload
-    starts — they can differ from the central directory's.  The payload
-    is a ``.npy`` stream: magic, version, header length (2 bytes for
-    format 1.x, 4 for 2.x+), then a Python-literal header dict.
+    ``fh`` is the open file or an ``mmap`` of it.  ``info.header_offset``
+    points at the member's *local* file header, whose own name/extra
+    lengths (bytes 26-30) govern where the payload starts — they can
+    differ from the central directory's.  The payload is a ``.npy``
+    stream: magic, version, header length (2 bytes for format 1.x, 4
+    for 2.x+), then a Python-literal header dict.
     """
     fh.seek(info.header_offset)
     local = fh.read(30)
@@ -158,6 +218,21 @@ def _npy_member_layout(fh, info: zipfile.ZipInfo):
     return dtype, shape, bool(header["fortran_order"]), fh.tell()
 
 
+def _member_layouts(zf: zipfile.ZipFile, fh):
+    """``(name, info, layout)`` per member; ``layout`` is ``None`` for
+    members that cannot be read at an offset (compressed, object-dtype,
+    0-d)."""
+    for info in zf.infolist():
+        layout = None
+        if info.compress_type == zipfile.ZIP_STORED:
+            try:
+                layout = _npy_member_layout(fh, info)
+            except (ValueError, SyntaxError, KeyError):
+                pass
+        # np.load's member names drop the suffix too
+        yield info.filename.removesuffix(".npy"), info, layout
+
+
 def mmap_npz_members(path: PathLike) -> Dict[str, np.ndarray]:
     """Read-only memmaps of every mappable member of an ``.npz`` file.
 
@@ -167,21 +242,105 @@ def mmap_npz_members(path: PathLike) -> Dict[str, np.ndarray]:
     """
     out: Dict[str, np.ndarray] = {}
     path = Path(path)
-    with zipfile.ZipFile(path) as zf, open(path, "rb") as fh:
-        for info in zf.infolist():
-            if info.compress_type != zipfile.ZIP_STORED:
-                continue
-            try:
-                dtype, shape, fortran, offset = _npy_member_layout(fh, info)
-            except (ValueError, SyntaxError, KeyError):
-                continue
-            name = info.filename
-            if name.endswith(".npy"):
-                name = name[:-4]
-            out[name] = np.memmap(path, dtype=dtype, mode="r",
-                                  offset=offset, shape=shape,
-                                  order="F" if fortran else "C")
+    with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
+        for name, _, layout in _member_layouts(zf, fh):
+            if layout is not None:
+                out[name] = _memmap(path, layout)
     return out
+
+
+def _memmap(path: Path, layout) -> np.memmap:
+    dtype, shape, fortran, offset = layout
+    return np.memmap(path, dtype=dtype, mode="r", offset=offset,
+                     shape=shape, order="F" if fortran else "C")
+
+
+class _Mapping(mmap.mmap):
+    """An ``mmap`` that zipfile can open members of (it asks every file
+    whether it is seekable; ``mmap`` only answers from Python 3.13)."""
+
+    def seekable(self) -> bool:
+        return True
+
+
+def _read_once(path: Path, mmap_mode: Optional[str]):
+    """The whole file in one read: a private page-aligned copy (an
+    anonymous ``MAP_PRIVATE`` map, so a forked child copies a page on
+    write as it would a heap array), or with ``mmap_mode="r"`` a
+    read-only map of the file."""
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if not size:
+            return b""
+        if mmap_mode == "r":
+            return _Mapping(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        buf = _Mapping(-1, size, flags=mmap.MAP_PRIVATE)
+        with memoryview(buf) as view:
+            done = 0
+            while done < size:
+                got = fh.readinto(view[done:])
+                if not got:     # the file shrank while being read
+                    break
+                done += got
+    return buf
+
+
+def _npz_members(source, path: Path,
+                 mmap_mode: Optional[str]) -> Dict[str, np.ndarray]:
+    """Every array member of the ``.npz`` whose bytes are ``source``.
+
+    Stored plain members are parsed at their offsets.  With
+    ``mmap_mode="r"`` they are read-only maps of ``path``; otherwise
+    views of ``source``, when every one starts on
+    :data:`MEMBER_ALIGNMENT`, or aligned copies of them (files written
+    before members were aligned).  Compressed, object-dtype and 0-d
+    members are decoded the way ``np.load`` decodes them.
+    """
+    members: Dict[str, np.ndarray] = {}
+    layouts = {}
+    with zipfile.ZipFile(source if len(source) else io.BytesIO()) as zf:
+        for name, info, layout in _member_layouts(zf, source):
+            if layout is not None:
+                layouts[name] = layout
+                continue
+            with zf.open(info) as member:
+                members[name] = np.lib.format.read_array(
+                    member, allow_pickle=False)
+    shared = all(layout[3] % MEMBER_ALIGNMENT == 0
+                 for layout in layouts.values())
+    for name, layout in layouts.items():
+        if mmap_mode == "r":
+            members[name] = _memmap(path, layout)
+            continue
+        dtype, shape, fortran, offset = layout
+        array = np.frombuffer(source, dtype, math.prod(shape),
+                              offset).reshape(shape,
+                                              order="F" if fortran else "C")
+        members[name] = array if shared else array.copy(order="K")
+    return members
+
+
+def read_converted(path: PathLike, mmap_mode: Optional[str] = None):
+    """Read a converted-SNN file once, for a caller that also hashes it.
+
+    Returns ``(content, decode)``: the file's bytes as a memoryview — a
+    private page-aligned copy, or with ``mmap_mode="r"`` a read-only
+    map — and a zero-argument function that decodes and digest-checks
+    the network from that same content, as :func:`load_converted`
+    does.  Neither writes to ``content``, so the two can run at once.
+    """
+    if mmap_mode not in (None, "r"):
+        raise ValueError(
+            f"mmap_mode must be None or 'r', got {mmap_mode!r} — converted "
+            "bundles are immutable, writable maps are not supported")
+    path = Path(path)
+    try:
+        source = _read_once(path, mmap_mode)
+    except OSError as exc:
+        raise SerializationError(
+            f"{path}: not a readable converted-SNN file ({exc})") from None
+    return memoryview(source), functools.partial(
+        _decode_converted, path, source, mmap_mode)
 
 
 def load_converted(path: PathLike, mmap_mode: Optional[str] = None):
@@ -192,72 +351,58 @@ def load_converted(path: PathLike, mmap_mode: Optional[str] = None):
     uncompressed; compressed members silently fall back to in-memory
     copies, so the call is safe on any bundle.
     """
+    return read_converted(path, mmap_mode)[1]()
+
+
+def _decode_converted(path: Path, source, mmap_mode: Optional[str]):
+    """The network in ``source`` (the bytes of ``path``), digest-checked."""
     from ..cat.convert import ConvertedSNN, LayerSpec
     from ..cat.schedule import CATConfig
 
-    if mmap_mode not in (None, "r"):
-        raise ValueError(
-            f"mmap_mode must be None or 'r', got {mmap_mode!r} — converted "
-            "bundles are immutable, writable maps are not supported")
-    path = Path(path)
-    mapped: Dict[str, np.ndarray] = {}
-    if mmap_mode == "r":
-        try:
-            mapped = mmap_npz_members(path)
-        except (OSError, zipfile.BadZipFile) as exc:
-            raise SerializationError(
-                f"{path}: not a readable converted-SNN file ({exc})"
-            ) from None
     try:
-        data = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        data = _npz_members(source, path, mmap_mode)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise SerializationError(
             f"{path}: not a readable converted-SNN file ({exc})") from None
-    with data:
-        if "__header__" not in data.files:
-            raise SerializationError(
-                f"{path}: no __header__ entry — truncated, or not a "
-                "converted-SNN file saved by save_converted()")
-        try:
-            header = json.loads(bytes(data["__header__"]).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SerializationError(
-                f"{path}: corrupted header ({exc})") from None
-        found = header.get("format_version")
-        if found != CONVERTED_FORMAT_VERSION:
-            raise SerializationError(
-                f"{path}: converted-SNN format version mismatch — "
-                f"expected {CONVERTED_FORMAT_VERSION}, found "
-                f"{'none (pre-versioning file)' if found is None else found}"
-                "; re-export the bundle with this checkout's "
-                "save_converted()")
-        layers = []
-        weights = []
-        def _array(key: str) -> np.ndarray:
-            if key in mapped:
-                return mapped[key]
-            return data[key]
-
-        try:
-            for i, entry in enumerate(header["manifest"]):
-                weight = _array(f"w/{i}") if entry["has_weight"] else None
-                bias = _array(f"b/{i}") if entry["has_weight"] else None
-                if weight is not None:
-                    weights.extend((weight, bias))
-                layers.append(LayerSpec(
-                    kind=entry["kind"], weight=weight, bias=bias,
-                    stride=entry["stride"], padding=entry["padding"],
-                    kernel_size=entry["kernel_size"],
-                    is_output=entry["is_output"],
-                ))
-            config_dict = header["config"]
-            output_scale = header["output_scale"]
-            expected_digest = header["digest"]
-        except KeyError as exc:
-            raise SerializationError(
-                f"{path}: missing entry {exc.args[0]!r} — the file is "
-                "truncated or was written by an incompatible "
-                "save_converted()") from None
+    if "__header__" not in data:
+        raise SerializationError(
+            f"{path}: no __header__ entry — truncated, or not a "
+            "converted-SNN file saved by save_converted()")
+    try:
+        header = json.loads(bytes(data["__header__"]).decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SerializationError(
+            f"{path}: corrupted header ({exc})") from None
+    found = header.get("format_version")
+    if found != CONVERTED_FORMAT_VERSION:
+        raise SerializationError(
+            f"{path}: converted-SNN format version mismatch — "
+            f"expected {CONVERTED_FORMAT_VERSION}, found "
+            f"{'none (pre-versioning file)' if found is None else found}"
+            "; re-export the bundle with this checkout's "
+            "save_converted()")
+    layers = []
+    weights = []
+    try:
+        for i, entry in enumerate(header["manifest"]):
+            weight = data[f"w/{i}"] if entry["has_weight"] else None
+            bias = data[f"b/{i}"] if entry["has_weight"] else None
+            if weight is not None:
+                weights.extend((weight, bias))
+            layers.append(LayerSpec(
+                kind=entry["kind"], weight=weight, bias=bias,
+                stride=entry["stride"], padding=entry["padding"],
+                kernel_size=entry["kernel_size"],
+                is_output=entry["is_output"],
+            ))
+        config_dict = header["config"]
+        output_scale = header["output_scale"]
+        expected_digest = header["digest"]
+    except KeyError as exc:
+        raise SerializationError(
+            f"{path}: missing entry {exc.args[0]!r} — the file is "
+            "truncated or was written by an incompatible "
+            "save_converted()") from None
     actual = _converted_digest(header["manifest"], config_dict,
                                output_scale, weights)
     if actual != expected_digest:

@@ -23,12 +23,17 @@ bundle/
 every file's content digest (via :func:`repro.engine.cache.digest`)
 before handing anything to the simulator, so a truncated copy or a
 bundle from an incompatible writer fails with an actionable
-:class:`ArtifactError` instead of garbage predictions.
+:class:`ArtifactError` instead of garbage predictions.  ``snn.npz`` is
+read once: its manifest digest and the digest in its own header are
+both checked over that one read, side by side on the shared
+:mod:`repro.threads` pool, and the decoded network comes back with the
+bundle.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 from pathlib import Path
@@ -61,17 +66,61 @@ class ArtifactError(ReproError):
 
 def file_digest(path: Path) -> str:
     """Content digest of one bundle file (raw bytes, type-tagged)."""
+    return _content_digest(path.read_bytes())
+
+
+def _content_digest(content) -> str:
     from ..engine.cache import digest
 
-    return digest("artifact-file", path.read_bytes())
+    return digest("artifact-file", content)
+
+
+def _check_digest(fpath: Path, expected: str, actual: str) -> None:
+    if actual != expected:
+        raise ArtifactError(
+            f"{fpath}: content digest mismatch — manifest says "
+            f"{expected[:12]}…, file hashes to {actual[:12]}… "
+            "(corrupted or tampered bundle)")
+
+
+def _open_snn(fpath: Path, expected: str, mmap_mode: Optional[str]):
+    """The converted SNN in ``fpath``, from one read of the file.
+
+    The manifest's file digest and the file's own header digest are
+    both checked over that one read, side by side on the shared thread
+    pool.  A file that fails its manifest digest reports that, whatever
+    decoding it made of it.
+    """
+    from ..nn.serialization import SerializationError, read_converted
+    from ..threads import run_concurrently
+
+    try:
+        content, decode = read_converted(fpath, mmap_mode)
+    except SerializationError as exc:
+        raise ArtifactError(f"artifact at {fpath.parent}: {exc}") from None
+
+    def attempt():
+        try:
+            return decode()
+        except Exception as exc:   # reported after the file digest
+            return exc
+
+    actual, snn = run_concurrently(
+        functools.partial(_content_digest, content), attempt)
+    _check_digest(fpath, expected, actual)
+    if isinstance(snn, SerializationError):
+        raise ArtifactError(f"artifact at {fpath.parent}: {snn}") from None
+    if isinstance(snn, Exception):
+        raise snn
+    return snn
 
 
 class ModelArtifact:
     """A loaded (and integrity-checked) model bundle.
 
     Construction goes through :meth:`build` / :meth:`save` /
-    :meth:`load`; the converted SNN itself is read lazily on first
-    ``.snn`` access so registry listings stay cheap.
+    :meth:`load` / :meth:`peek`.  :meth:`load` decodes the converted
+    SNN while it checks the file; a peeked bundle has the manifest only.
     """
 
     def __init__(self, path: Path, manifest: Dict[str, Any],
@@ -122,21 +171,16 @@ class ModelArtifact:
 
     @property
     def snn(self):
-        """The converted SNN, loaded once and memoised.
+        """The converted SNN, decoded by :meth:`load` (or :meth:`save`).
 
         With ``mmap_mode="r"`` (see :meth:`load`) the weight arrays are
         read-only maps of the bundle file, so every process serving the
         same bundle shares one page-cache copy of the weights.
         """
         if self._snn is None:
-            from ..nn.serialization import SerializationError, load_converted
-
-            try:
-                self._snn = load_converted(self.path / SNN_FILE,
-                                           mmap_mode=self.mmap_mode)
-            except SerializationError as exc:
-                raise ArtifactError(
-                    f"artifact at {self.path}: {exc}") from None
+            raise ArtifactError(
+                f"artifact at {self.path} was only peeked at; load the "
+                "bundle (ModelArtifact.load) to decode its network")
         return self._snn
 
     @property
@@ -320,26 +364,31 @@ class ModelArtifact:
              mmap_mode: Optional[str] = None) -> "ModelArtifact":
         """Open a bundle, verifying schema version and file digests.
 
-        ``mmap_mode="r"`` makes later ``.snn`` access map the weight
-        arrays off disk instead of copying them into private memory —
-        the worker-pool serving path opens every bundle this way so N
-        processes share one copy.  Bundles whose ``snn.npz`` predates
-        the uncompressed layout silently fall back to in-memory loads.
+        ``mmap_mode="r"`` maps the weight arrays off disk instead of
+        reading them into private memory — the worker-pool serving path
+        opens every bundle this way so N processes share one copy.
+        Bundles whose ``snn.npz`` predates the uncompressed layout
+        silently fall back to in-memory loads.
         """
         path, manifest = cls._read_manifest(path)
+        if SNN_FILE not in manifest["files"]:
+            raise ArtifactError(
+                f"{path}: the manifest lists no {SNN_FILE!r} digest — "
+                "truncated or hand-edited bundle")
+        snn = None
         for fname, expected in manifest["files"].items():
             fpath = path / fname
             if not fpath.exists():
                 raise ArtifactError(
                     f"{path}: file {fname!r} is listed in the manifest but "
                     "missing on disk — incomplete copy of the bundle")
-            actual = file_digest(fpath)
-            if actual != expected:
-                raise ArtifactError(
-                    f"{fpath}: content digest mismatch — manifest says "
-                    f"{expected[:12]}…, file hashes to {actual[:12]}… "
-                    "(corrupted or tampered bundle)")
-        return cls(path, manifest, mmap_mode=mmap_mode)
+            if fname == SNN_FILE:
+                snn = _open_snn(fpath, expected, mmap_mode)
+            else:
+                _check_digest(fpath, expected, file_digest(fpath))
+        artifact = cls(path, manifest, mmap_mode=mmap_mode)
+        artifact._snn = snn
+        return artifact
 
     @classmethod
     def _read_manifest(cls, path: PathLike):

@@ -121,7 +121,9 @@ class WorkerPool:
             spec = SessionSpec(os.fspath(spec))
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        artifact = ModelArtifact.load(spec.path)    # fail fast, in-parent
+        # fail fast, in-parent; mapped, so the parent holds no private
+        # copy of the weights while it forks the workers
+        artifact = ModelArtifact.load(spec.path, mmap_mode="r")
         self.spec = spec
         self.workers = workers
         # same label the server's channel uses for this bundle, so fleet

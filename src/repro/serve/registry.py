@@ -119,11 +119,16 @@ class ModelRegistry:
 
         ``name`` defaults to the manifest's; ``version`` to the next
         ``v<n>``; ``alias`` (default ``latest``, ``None`` to skip) is
-        pointed at the new version.
+        pointed at the new version.  A bundle given by path, and the
+        copy, are verified with mapped opens (``mmap_mode="r"``), so
+        publishing holds no private copy of the weights; the registered
+        artifact maps its network.
         """
         if not isinstance(artifact, ModelArtifact):
-            artifact = ModelArtifact.load(artifact)
+            artifact = ModelArtifact.load(artifact, mmap_mode="r")
+        source = artifact.path
         name = _check_component("model name", name or artifact.name)
+        del artifact    # unmaps a source this call opened before the copy
         if version is None:
             taken = {v for v in self.versions(name)}
             n = 1
@@ -138,8 +143,9 @@ class ModelRegistry:
                 f"{dest}; publish under a new version (versions are "
                 "immutable)")
         dest.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copytree(artifact.path, dest, dirs_exist_ok=True)
-        registered = ModelArtifact.load(dest)    # verifies the copy
+        shutil.copytree(source, dest, dirs_exist_ok=True)
+        # verifies the copy
+        registered = ModelArtifact.load(dest, mmap_mode="r")
         if alias is not None:
             self.set_alias(name, alias, version)
         return name, version, registered

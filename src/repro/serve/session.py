@@ -99,10 +99,11 @@ class InferenceSession:
 
         v2 bundles ship ``plans.npz``, so no plan is ever compiled at
         request time; v1 bundles (or plan-less v2 ones) get plans
-        compiled here, once, at open time.  Schemes that don't take
-        plans are left alone.
+        compiled here, once, at open time.  Only the event backend
+        reads plans, so dense sessions, and schemes that don't take
+        plans, neither load nor compile them.
         """
-        if not hasattr(self._scheme, "plans"):
+        if self.backend != "event" or not hasattr(self._scheme, "plans"):
             return
         plans = self.artifact.plans
         if plans is None and self.artifact.input_shape is not None:

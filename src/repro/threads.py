@@ -8,7 +8,9 @@ spike-time encoding, spike decoding and time-domain max pooling call it,
 and so does the weight quantiser, over C_out slices.
 :func:`map_groups` splits a loop instead: the fixed-point datapath's
 per-spike-time GEMMs, whose integer sums add up the same in any
-grouping, run as one group per thread.
+grouping, run as one group per thread.  :func:`run_concurrently` runs a
+few unrelated calls side by side: a bundle open hashes the file and
+decodes the weights at once.
 
 The result equals the whole-batch call bitwise whenever ``fn`` treats
 images independently and rounds each one the same way whatever the
@@ -223,3 +225,19 @@ def map_groups(fn, count: int) -> list:
         return [fn(range(count))]
     return _run_all(threads, [functools.partial(fn, range(g, count, groups))
                               for g in range(groups)])
+
+
+def run_concurrently(*calls) -> list:
+    """The results of the zero-argument ``calls``, run side by side.
+
+    Each call runs on the shared pool; the results come back in order,
+    or the first failure once every call has finished.  With one thread
+    or from a pool thread the calls run inline, one after another.
+    The calls should spend their time with the GIL released (hashing
+    large buffers, copying arrays), or running them at once gains
+    nothing.
+    """
+    threads = thread_count()
+    if _inline(threads, len(calls), blas=False):
+        return [call() for call in calls]
+    return _run_all(threads, calls)

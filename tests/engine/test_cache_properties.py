@@ -224,3 +224,106 @@ class TestCacheRoundTrip:
         assert cache.clear() == 1
         assert len(cache) == 0 and bool(cache)  # empty != disabled
         assert cache.get("present") is None
+
+
+def _golden_snn():
+    """A small fixed converted network: conv, flatten, F-ordered linear."""
+    from repro.cat.convert import ConvertedSNN, LayerSpec
+    from repro.cat.schedule import CATConfig
+
+    w = (np.arange(54, dtype=np.float32).reshape(2, 3, 3, 3) - 20) / 16
+    b = np.array([0.5, -0.25], dtype=np.float32)
+    lw = (np.arange(8, dtype=np.float32).reshape(4, 2) - 3) / 8
+    layers = [LayerSpec("conv", w, b, stride=1, padding=1, kernel_size=3),
+              LayerSpec("flatten"),
+              LayerSpec("linear", np.asfortranarray(lw),
+                        np.zeros(4, dtype=np.float32), is_output=True)]
+    snn = ConvertedSNN(layers=layers, config=CATConfig(window=8, tau=2.0))
+    snn.output_scale = 1.5
+    return snn
+
+
+class TestGoldenDigests:
+    """Hex digests recorded before arrays and bytes were hashed in place.
+
+    Every manifest file digest, converted-SNN header digest, plan digest
+    and result-cache key in existing bundles and stores depends on these
+    values, so a change to how ``digest`` feeds SHA-256 must leave them
+    bit for bit the same.
+    """
+
+    BASE = np.arange(24, dtype=np.float32).reshape(2, 3, 4) / 7
+
+    @pytest.mark.parametrize("value, expected", [
+        (b"time-to-first-spike",
+         "d28949d8da56200f9dbf837bdc0aaeb739a37173edf7a95e828b7d5156e5fcce"),
+        (b"",
+         "f8e104c3cdd027543bd46fcc19e70e9a215db24349070be557c493c41b7cb4d9"),
+        (np.array(2.5, dtype=np.float64),
+         "15a251130b2c04ba4a84d80f0c18c52d1c8d565a68fef2edc6d2c17f4617ba9c"),
+        (BASE,
+         "c4fb49def043412e910fd72497c6e26a7d19dc1666b108db7d35ef7646e09b8a"),
+        (np.asfortranarray(BASE),
+         "c4fb49def043412e910fd72497c6e26a7d19dc1666b108db7d35ef7646e09b8a"),
+        (np.arange(40, dtype=np.int64).reshape(5, 8)[::2, 1::3],
+         "6f189765986d22e3dc27bc9a4e511327056bac49ff60e66442e3b333b011a7ca"),
+        (np.array([[True, False, True], [False, False, True]]),
+         "c534a67b9c84a291050fcec24efcea84f2e92eb00d6d2bc7fac7806039718f7f"),
+        (np.linspace(-1, 1, 9, dtype=np.float16),
+         "adc4e81b597db80f448b4b5caa88670d017a202c4bbc04a08f3373594c09758e"),
+        (np.float32(0.25),
+         "212161fd3d2e241e0614decc3bf82bc857eda7de04a1bccc8e0cbe812f713f4e"),
+        (("tag", 3, 1.5, None, {"k": b"v"}, [BASE[0]]),
+         "98496f1aefd63e8526b902d376f7559a4750b93ebb5cb8b8b1332e0b1a0d7cf7"),
+    ], ids=["bytes", "empty-bytes", "0-d", "c-order", "f-order", "strided",
+            "bool", "float16", "np-scalar", "nested"])
+    def test_value_digest(self, value, expected):
+        assert digest(value) == expected
+
+    def test_bytes_like_digest_as_bytes(self):
+        data = b"time-to-first-spike"
+        expected = digest(data)
+        assert digest(bytearray(data)) == expected
+        assert digest(memoryview(data)) == expected
+        assert digest(memoryview(np.frombuffer(data, np.uint8))) == expected
+
+    def test_file_digest(self, tmp_path):
+        from repro.serve.artifact import file_digest
+
+        path = tmp_path / "f.bin"
+        path.write_bytes(bytes(range(256)) * 3)
+        assert file_digest(path) == (
+            "7e7ee718166138a18891c32ece854b69871a2cc27e836043cf1384b264200b72")
+
+    def test_converted_header_digest(self):
+        from dataclasses import asdict
+
+        from repro.nn.serialization import _converted_digest
+
+        snn = _golden_snn()
+        manifest = [{"kind": s.kind, "has_weight": s.weight is not None}
+                    for s in snn.layers]
+        weights = [a for s in snn.layers if s.weight is not None
+                   for a in (s.weight, s.bias)]
+        assert _converted_digest(manifest, asdict(snn.config),
+                                 snn.output_scale, weights) == (
+            "7405e398203a80f7ee0410784d925269be2a536e8bc2d2cdfc0e71822e1f9b2f")
+
+    def test_plan_digest(self):
+        from repro.engine.plan import _plans_digest
+
+        arrays = {"idx/0": np.arange(6, dtype=np.int32).reshape(2, 3)[:, ::2]}
+        assert _plans_digest([{"layer": 0, "rows": 3}], arrays) == (
+            "c3955c616e981f2042e96e42fa2eb44548c4ae1d481f8f1fe89e5bcab73893a9")
+
+    def test_scheme_and_run_keys(self, monkeypatch):
+        import repro
+
+        key = scheme_digest("ttfs-closed-form", _golden_snn(),
+                            {"max_batch": 4})
+        assert key == (
+            "56017a53444a641198045cae1bc3d91b3c89d05b84ab458ef92390141ed0d6d6")
+        monkeypatch.setattr(repro, "__version__", "0.0-golden")
+        chunk = np.linspace(0, 1, 24, dtype=np.float32).reshape(2, 3, 2, 2)
+        assert run_key(key, chunk) == (
+            "836cb16310c8cc752eb46865b99031270c173c6b45ce1f86d65856f399f0dc54")

@@ -11,6 +11,7 @@ BLAS runs on one thread, so these tests pretend it does.
 import multiprocessing
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
@@ -171,6 +172,28 @@ class TestMapImages:
     def test_set_threads_rejects_zero(self):
         with pytest.raises(ValueError):
             threads.set_threads(0)
+
+
+class TestRunConcurrently:
+    def test_results_in_order_on_and_off_the_pool(self):
+        calls = [lambda: 1, lambda: threading.current_thread().name,
+                 lambda: 3]
+        with pool_threads(1):
+            assert threads.run_concurrently(*calls) == \
+                [1, threading.current_thread().name, 3]
+        with pool_threads(2):
+            first, name, last = threads.run_concurrently(*calls)
+        assert (first, last) == (1, 3)
+        assert name.startswith("repro-images")
+
+    def test_errors_reach_the_caller(self):
+        def fail():
+            raise ValueError("bad call")
+
+        for n in (1, 2):
+            with pool_threads(n), pytest.raises(ValueError,
+                                                match="bad call"):
+                threads.run_concurrently(lambda: 1, fail)
 
 
 class TestSlicedPrimitives:

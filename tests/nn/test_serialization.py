@@ -234,3 +234,30 @@ class TestConvertedMmap:
             for name, mapped in members.items():
                 np.testing.assert_array_equal(np.asarray(mapped),
                                               data[name])
+
+    def test_stored_members_start_aligned(self, tmp_path, converted_micro):
+        import zipfile
+
+        from repro.nn.serialization import MEMBER_ALIGNMENT, mmap_npz_members
+
+        path = tmp_path / "snn.npz"
+        save_converted(converted_micro, path, compress=False)
+        members = mmap_npz_members(path)
+        assert "__header__" in members
+        assert all(m.offset % MEMBER_ALIGNMENT == 0
+                   for m in members.values())
+        with zipfile.ZipFile(path) as zf:
+            assert zf.testzip() is None          # CRCs still hold
+
+    def test_read_converted_hands_out_the_file_bytes(self, tmp_path,
+                                                     converted_micro):
+        from repro.nn.serialization import read_converted
+
+        path = tmp_path / "snn.npz"
+        save_converted(converted_micro, path, compress=False)
+        for mmap_mode in (None, "r"):
+            content, decode = read_converted(path, mmap_mode)
+            assert bytes(content) == path.read_bytes()
+            restored = decode()
+            assert restored.output_scale == converted_micro.output_scale
+

@@ -1,6 +1,7 @@
 """ModelArtifact bundles: round-trips, integrity checks, build parity."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -123,6 +124,14 @@ class TestIntegrityChecks:
         with pytest.raises(ArtifactError, match="missing on disk"):
             ModelArtifact.load(artifact.path)
 
+    def test_manifest_without_snn_digest(self, tmp_path, converted_micro):
+        artifact = ModelArtifact.save(tmp_path / "b", converted_micro,
+                                      name="m", scheme="rate")
+        self._mutate_manifest(artifact.path,
+                              lambda m: m["files"].pop("snn.npz"))
+        with pytest.raises(ArtifactError, match="no 'snn.npz' digest"):
+            ModelArtifact.load(artifact.path)
+
     def test_tampered_file_digest(self, tmp_path, converted_micro):
         artifact = ModelArtifact.save(tmp_path / "b", converted_micro,
                                       name="m", scheme="rate")
@@ -174,6 +183,8 @@ class TestPeek:
             f.write(b"tamper")
         peeked = ModelArtifact.peek(artifact.path)   # manifest-only: ok
         assert peeked.scheme == "rate"
+        with pytest.raises(ArtifactError, match="load the bundle"):
+            peeked.snn                               # never decoded
         with pytest.raises(ArtifactError, match="digest mismatch"):
             ModelArtifact.load(artifact.path)        # full check: fails
         manifest = json.loads(
@@ -277,3 +288,165 @@ class TestMmapLoading:
                 continue
             np.testing.assert_array_equal(np.asarray(m.weight), p.weight)
             np.testing.assert_array_equal(np.asarray(m.bias), p.bias)
+
+
+@pytest.fixture(params=[1, 2], ids=["1-thread", "2-threads"])
+def digest_threads(request):
+    """Run both bundle digests inline (1) or side by side (2)."""
+    from repro import threads
+
+    threads.set_threads(request.param)
+    yield request.param
+    threads.set_threads(None)
+
+
+def _rerecord_snn_digest(path):
+    """Make the manifest's file digest match snn.npz as it now is."""
+    from repro.serve.artifact import file_digest
+
+    manifest = json.loads((path / MANIFEST_NAME).read_text())
+    manifest["files"]["snn.npz"] = file_digest(path / "snn.npz")
+    (path / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+
+def _weights(snn):
+    return [a for spec in snn.layers if spec.weight is not None
+            for a in (spec.weight, spec.bias)]
+
+
+class TestOneReadOpen:
+    """``load`` reads snn.npz once and checks both digests over it."""
+
+    @pytest.fixture
+    def bundle(self, tmp_path, converted_micro):
+        return ModelArtifact.save(tmp_path / "b", converted_micro, name="m",
+                                  scheme="ttfs-closed-form",
+                                  input_shape=(3, 8, 8)).path
+
+    def test_edited_weight_fails_the_header_digest(self, bundle,
+                                                   digest_threads):
+        from repro.nn.serialization import mmap_npz_members
+
+        offset = mmap_npz_members(bundle / "snn.npz")["w/0"].offset
+        with open(bundle / "snn.npz", "r+b") as fh:
+            fh.seek(offset)
+            byte = fh.read(1)
+            fh.seek(offset)
+            fh.write(bytes([byte[0] ^ 0x40]))
+        _rerecord_snn_digest(bundle)
+        with pytest.raises(ArtifactError, match="header says"):
+            ModelArtifact.load(bundle).snn
+        with pytest.raises(ArtifactError, match="header says"):
+            InferenceSession(bundle, warmup=False)
+        with pytest.raises(ArtifactError, match="header says"):
+            InferenceSession(bundle, warmup=False, mmap=True)
+
+    @pytest.mark.parametrize("keep", [0, 100, 0.5])
+    def test_truncated_file_fails_the_manifest_digest(self, bundle, keep,
+                                                      digest_threads):
+        data = (bundle / "snn.npz").read_bytes()
+        if isinstance(keep, float):
+            keep = int(len(data) * keep)
+        (bundle / "snn.npz").write_bytes(data[:keep])
+        for mmap_mode in (None, "r"):
+            with pytest.raises(ArtifactError, match="manifest says"):
+                ModelArtifact.load(bundle, mmap_mode=mmap_mode)
+
+    def test_compressed_legacy_file_loads_bitwise(self, bundle,
+                                                  converted_micro,
+                                                  digest_threads):
+        from repro.nn.serialization import save_converted
+
+        save_converted(converted_micro, bundle / "snn.npz", compress=True)
+        _rerecord_snn_digest(bundle)
+        for mmap_mode in (None, "r"):
+            snn = ModelArtifact.load(bundle, mmap_mode=mmap_mode).snn
+            with np.load(bundle / "snn.npz", allow_pickle=False) as data:
+                expected = [data[f"{kind}/{i}"]
+                            for i, spec in enumerate(snn.layers)
+                            if spec.weight is not None for kind in "wb"]
+            for got, want in zip(_weights(snn), expected, strict=True):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+    def test_parent_layout_still_loads_and_maps(self, bundle,
+                                                digest_threads):
+        """Files whose stored members start at odd offsets (np.savez)."""
+        with np.load(bundle / "snn.npz", allow_pickle=False) as data:
+            members = dict(data)
+        np.savez(bundle / "snn.npz", **members)
+        _rerecord_snn_digest(bundle)
+        plain = ModelArtifact.load(bundle).snn
+        mapped = ModelArtifact.load(bundle, mmap_mode="r").snn
+        for p, m in zip(_weights(plain), _weights(mapped), strict=True):
+            assert isinstance(m, np.memmap)
+            assert p.flags.aligned and p.flags.writeable
+            np.testing.assert_array_equal(p, np.asarray(m))
+
+    def test_plain_weights_are_aligned_and_writable(self, bundle,
+                                                    converted_micro,
+                                                    digest_threads):
+        snn = ModelArtifact.load(bundle).snn
+        weights = _weights(snn)
+        assert weights
+        for got, want in zip(weights, _weights(converted_micro),
+                             strict=True):
+            assert got.flags.aligned and got.flags.writeable
+            assert got.ctypes.data % 64 == 0
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_plain_weights_are_copied_on_write_across_fork(self, bundle):
+        """A forked child's writes stay out of the parent's weights."""
+        weight = _weights(ModelArtifact.load(bundle).snn)[0]
+        before = weight.copy()
+        pid = os.fork()
+        if pid == 0:            # child: scribble over the weights
+            weight[...] = 7
+            os._exit(0)
+        assert os.waitpid(pid, 0)[1] == 0
+        np.testing.assert_array_equal(weight, before)
+
+    def test_mapped_weights_of_a_new_bundle_are_aligned(self, bundle):
+        from repro.nn.serialization import MEMBER_ALIGNMENT
+
+        weights = _weights(ModelArtifact.load(bundle, mmap_mode="r").snn)
+        assert weights
+        for array in weights:
+            assert isinstance(array, np.memmap)
+            assert array.flags.aligned
+            assert array.offset % MEMBER_ALIGNMENT == 0
+
+
+class TestPlanLoading:
+    def test_dense_sessions_never_load_plans(self, micro_bundle,
+                                             monkeypatch, tiny_dataset):
+        from repro.engine import plan
+
+        calls = []
+        real = plan.load_plans
+
+        def spy(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(plan, "load_plans", spy)
+        x = tiny_dataset.test_x[:6]
+        dense = InferenceSession(micro_bundle.path)
+        assert dense.backend == "dense"
+        dense.predict(x)
+        InferenceSession(micro_bundle.path, scheme="fixed-point",
+                         warmup=False).predict(x)
+        assert calls == []
+
+        event = InferenceSession(micro_bundle.path, backend="event")
+        assert len(calls) == 1
+        assert event._scheme.plans is event.artifact.plans
+        got = event.predict(x)
+        unplanned = InferenceSession(micro_bundle.path, backend="event",
+                                     warmup=False)
+        unplanned._scheme.plans = type(unplanned._scheme.plans)()
+        want = unplanned.predict(x)
+        np.testing.assert_array_equal(got.predictions, want.predictions)
+        assert (got.total_spikes, got.total_sops) == \
+            (want.total_spikes, want.total_sops)
