@@ -49,7 +49,7 @@ def test_batched_runner_throughput():
         rng = np.random.default_rng(0)
         images = rng.random((BATCH, 3, size, size))
 
-        scheme = EventDrivenTTFSNetwork(snn, mode="closed_form")
+        scheme = EventDrivenTTFSNetwork(snn)
         per_image = _best_throughput(PipelineRunner(scheme, max_batch=1),
                                      images)
         batched = _best_throughput(PipelineRunner(scheme, max_batch=BATCH),

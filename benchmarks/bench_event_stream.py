@@ -1,14 +1,13 @@
 """Dense vs event backends — compiled plans and the segment-sum scatter.
 
-The dense `ttfs-timestep` walk integrates a full activation volume at
-every timestep, so its cost is O(T x neurons) no matter how sparse the
-network's activity is.  The event backend scatters only the spikes that
-occurred (O(events x fan-out)), which is exactly what the processor's
+The dense `ttfs-closed-form` layer decodes the whole window once and runs
+one affine map per layer; the event backend scatters only the spikes
+that occurred (O(events x fan-out)), which is what the processor's
 sorted-spike streaming exploits.  This bench runs the micro-VGG at the
 paper-relevant windows (T=16 and the T2FSNN-scale T=80) across input
 sparsity levels and times three variants:
 
-``dense``    the dense per-timestep walk;
+``dense``    the dense closed-form walk;
 ``scatter``  the event backend's historical hot path (per-batch
              geometry + ``np.add.at``, via
              :func:`~repro.engine.executor.integrate_events_reference`);
@@ -16,7 +15,9 @@ sparsity levels and times three variants:
 
 Shape criteria asserted: the plan+segment-sum path must beat the old
 scatter on the sparse T=80 workload, and every variant must tell the
-same physical story (spike counts, SOPs, predictions).
+same physical story (spike counts, SOPs, predictions).  The dense vs
+event ``speedup`` is recorded, not gated: against the closed form the
+event backend loses at every density.
 
 Results go to ``benchmarks/results/event_stream.txt`` (rendered table)
 and ``benchmarks/results/event_stream.json`` (machine-readable, the CI
@@ -41,7 +42,7 @@ from conftest import RESULTS_DIR, save_result
 
 BATCH = 32
 ROUNDS = 3
-SCHEME = "ttfs-timestep"
+SCHEME = "ttfs-closed-form"
 #: (window, tau) design points: the bench-scale paper window and the
 #: T2FSNN baseline scale (Table 2's T=80).
 WINDOWS = ((16, 4.0), (80, 16.0))
@@ -114,24 +115,16 @@ def test_event_backend_sparsity_speedup():
         rows, title=f"dense vs event backend, {SCHEME}, "
                     f"{BATCH}-image micro-VGG batch")
     save_result("event_stream", table + (
-        "\n\nThe dense walk pays O(T x neurons) per layer regardless of "
-        "activity; the event scatter pays O(events x fan-out), so the "
-        "gap widens with the window and with sparsity — the regime the "
-        "paper's one-spike coding and sorted-spike hardware live in.  "
-        "'scatter' is the historical np.add.at hot path; 'event' runs "
-        "compiled plans + segment-sum kernels."))
+        "\n\nThe dense closed form pays one affine map per layer "
+        "whatever the activity; the event scatter pays O(events x "
+        "fan-out).  'scatter' is the historical np.add.at hot path; "
+        "'event' runs compiled plans + segment-sum kernels."))
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "event_stream.json").write_text(
         json.dumps({"schema_version": 2, "batch": BATCH,
                     "rounds": ROUNDS, "records": records}, indent=2) + "\n")
 
     by_key = {(r["window"], r["input_density"]): r for r in records}
-    # Shape criteria: at the T2FSNN-scale window the event backend must
-    # win outright on the sparse configuration (observed ~4x locally;
-    # 1.5x holds on noisy shared CI runners) and must never lose badly
-    # anywhere at T=80 (observed ~2x even fully dense).
-    assert by_key[(80, 0.05)]["speedup"] >= 1.5, by_key[(80, 0.05)]
-    assert by_key[(80, 1.0)]["speedup"] >= 1.0, by_key[(80, 1.0)]
     # The compiled-plan segment-sum path must beat the old np.add.at
     # scatter where the event backend earns its keep.
     assert by_key[(80, 0.05)]["scatter_speedup"] > 1.0, by_key[(80, 0.05)]

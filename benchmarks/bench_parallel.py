@@ -7,8 +7,8 @@ Three claims, one bench:
   ``PipelineRunner`` on a 64-image micro-VGG batch: same outputs, same
   predictions, same spike/SOP totals.
 * **Speedup** — sharding the chunks of a compute-bound workload
-  (timestep-mode TTFS over VGG-7) across 4 workers buys >= 1.8x
-  wall-clock over serial.  Asserted only where the hardware can deliver
+  (early-firing TTFS over VGG-7, one GEMM per occupied step) across
+  4 workers buys >= 1.8x wall-clock over serial.  Asserted only where the hardware can deliver
   it (>= 4 CPUs); single-core runners still record the measurement.
 * **Caching** — re-running the same batch through a result cache
   executes nothing: 100% hits, and the replay beats recomputation.
@@ -73,9 +73,9 @@ def test_parallel_bit_identical_on_micro_vgg(tmp_path):
 def test_parallel_speedup_and_cache_replay():
     snn = _build_snn(vgg7, 16, 24, 4.0)
     images = np.random.default_rng(0).random((64, 3, 16, 16))
-    spec = SchemeSpec("ttfs-timestep", snn)  # compute-bound per chunk
+    spec = SchemeSpec("ttfs-early", snn)  # compute-bound per chunk
 
-    serial_runner = PipelineRunner(create_scheme("ttfs-timestep", snn),
+    serial_runner = PipelineRunner(create_scheme("ttfs-early", snn),
                                    max_batch=8)
     t_serial = _best(lambda: serial_runner.run(images))
 
@@ -105,7 +105,7 @@ def test_parallel_speedup_and_cache_replay():
     ]
     table = format_table(
         ["configuration", "64-img batch (ms)", "speedup"],
-        rows, title=f"ttfs-timestep VGG-7 16x16, {cores} CPU(s) visible")
+        rows, title=f"ttfs-early VGG-7 16x16, {cores} CPU(s) visible")
     save_result("parallel_runner", table + (
         "\n\nChunks are independent (pure function of weights, config, "
         "inputs), so the parallel runner shards them across a process "

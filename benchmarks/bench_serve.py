@@ -60,7 +60,7 @@ SPEEDUP_FLOOR = 2.0
 def _build_bundle(path):
     """A served bundle around a seeded (untrained) micro VGG.
 
-    Accuracy is irrelevant to a throughput bench; the timestep scheme
+    Accuracy is irrelevant to a throughput bench; the early-firing walk
     makes each dispatch compute-bound enough that process parallelism,
     not queue overhead, is what the numbers measure.
     """
@@ -68,7 +68,7 @@ def _build_bundle(path):
     model = vgg_micro(num_classes=6, input_size=16)
     snn = convert(model, CATConfig(window=24, tau=4.0, method="I+II+III"))
     return ModelArtifact.save(
-        path, snn, name="bench-serve", scheme="ttfs-timestep",
+        path, snn, name="bench-serve", scheme="ttfs-early",
         backend="dense", max_batch=MAX_BATCH, input_shape=(3, 16, 16))
 
 

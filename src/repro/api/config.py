@@ -43,10 +43,11 @@ class ConfigError(ValueError):
     """An experiment config failed validation (message names the path)."""
 
 
-def _check_name(path: str, registry: Registry, name: str) -> None:
-    """``ConfigError`` at ``path`` unless ``registry`` resolves ``name``."""
+def _check_name(path: str, registry: Registry, name: str) -> str:
+    """The canonical name ``registry`` resolves ``name`` to, or
+    ``ConfigError`` at ``path``."""
     try:
-        registry.resolve(name)
+        return registry.resolve(name)
     except KeyError as err:
         raise ConfigError(f"{path}: {err.args[0]}") from None
 
@@ -184,9 +185,10 @@ class SimulateConfig:
         from ..engine import available_backends
         from ..engine.registry import SCHEMES
 
-        # aliases ("ttfs") are accepted here and resolved canonically by
-        # the engine registry when the simulate stage builds the scheme
-        _check_name("simulate.scheme", SCHEMES, self.scheme)
+        # aliases ("ttfs", "ttfs-timestep") resolve here, so the stage
+        # cache key and the report name the scheme that runs
+        object.__setattr__(self, "scheme", _check_name(
+            "simulate.scheme", SCHEMES, self.scheme))
         if self.backend not in available_backends():
             raise ConfigError("simulate.backend: " + unknown_name_message(
                 "backend", self.backend, available_backends()))

@@ -8,7 +8,8 @@ conv offset tables), the segment-sum scatter kernels, and plan
 (de)serialisation for artifact bundles;
 ``runner``    — batched/chunked execution with aggregated statistics;
 ``registry``  — pluggable coding schemes (``ttfs-closed-form``,
-``ttfs-timestep``, ``ttfs-early``, ``rate``, ``fixed-point``, ...);
+``ttfs-early``, ``rate``, ``fixed-point``, ...) and their aliases
+(``ttfs``, ``ttfs-timestep``, ``fp``);
 ``parallel``  — process-parallel sharding of the runner's chunks;
 ``cache``     — content-addressed on-disk store of chunk results;
 ``sweep``     — scheme x max-timestep x batch experiment orchestration.
@@ -30,7 +31,6 @@ from .executor import (
     avgpool_times,
     bias_shaped,
     conv_fanout,
-    fire_times_from_membrane,
     integrate_events,
     integrate_events_reference,
     layer_sops,
@@ -97,7 +97,6 @@ __all__ = [
     "avgpool_times",
     "bias_shaped",
     "conv_fanout",
-    "fire_times_from_membrane",
     "layer_sops",
     "output_shape",
     "pool_times",

@@ -104,8 +104,13 @@ def scheme_digest(name: str, snn, options: Optional[Dict[str, Any]] = None
 
     Everything a rebuilt scheme's output can depend on goes in: the
     layer structure and fused parameters, the coding config, the output
-    normalisation, and the factory options.
+    normalisation, and the factory options.  An alias keys the scheme
+    it names, so both share one cache entry.
     """
+    from .registry import SCHEMES
+
+    if name not in SCHEMES:
+        name = SCHEMES.aliases().get(name, name)
     layers = [
         (spec.kind, spec.stride, spec.padding, spec.kernel_size,
          spec.is_output, spec.weight, spec.bias)

@@ -14,10 +14,7 @@ The executor owns everything every stack used to reimplement privately:
   conv layer fused into one pass (:func:`integrate_fire_conv`);
 * time-domain max pooling (earliest spike wins) and the documented
   decode/pool/re-encode lowering of average pooling;
-* spike-statistics bookkeeping (:class:`LayerTrace`, SOP counting);
-* the vectorised fire-phase threshold sweep (a cumulative formulation
-  of the per-timestep comparison loop — the threshold is monotone
-  decreasing, so the first crossing is a ``searchsorted``).
+* spike-statistics bookkeeping (:class:`LayerTrace`, SOP counting).
 
 Intentionally *not* imported at module level: anything from
 ``repro.snn`` or ``repro.hw``.  Those packages import the engine, so the
@@ -33,7 +30,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..cat.kernels import NO_SPIKE
 from ..events import EventStream, conv_offset_coverage, scatter_chunks
 from ..tensor import (
     Tensor,
@@ -372,28 +368,6 @@ def integrate_events_reference(spec, stream: EventStream,
         contrib = values32[ok][:, None] * spec.weight[:, c[ok], ky, kx].T
         np.add.at(mem, rows, contrib.astype(np.float64))
     return mem.reshape(n_out, oh, ow, c_out).transpose(0, 3, 1, 2)
-
-
-# ----------------------------------------------------------------------
-# Vectorised fire-phase threshold sweep
-# ----------------------------------------------------------------------
-
-def fire_times_from_membrane(membrane: np.ndarray, kernel, window: int,
-                             theta0: float = 1.0) -> np.ndarray:
-    """First threshold crossing per neuron, without a per-``t`` loop.
-
-    Bit-identical to sweeping ``t = 0..window`` and firing where
-    ``membrane >= theta0 * kernel(t) - FIRE_TOL``: the threshold decays
-    monotonically, so the crossing predicate is monotone in ``t`` and the
-    first crossing is a binary search over the threshold grid.
-    """
-    thresholds = theta0 * kernel.value(np.arange(window + 1))
-    # a[t] = -(theta(t) - tol) is ascending; the first t with
-    # a[t] >= -membrane is exactly the first t with membrane >= theta(t) - tol.
-    ascending = -(thresholds - FIRE_TOL)
-    t = np.searchsorted(ascending, -np.asarray(membrane, dtype=np.float64),
-                        side="left")
-    return np.where(t > window, NO_SPIKE, t).astype(np.int64)
 
 
 # ----------------------------------------------------------------------

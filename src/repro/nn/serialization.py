@@ -118,6 +118,8 @@ def save_converted(snn, path: PathLike, compress: bool = True) -> None:
     later :func:`load_converted` with ``mmap_mode="r"`` can map the
     weights instead of copying them (the serving artifact writer uses
     this).  Both layouts decode identically; only mappability differs.
+    The file is replaced, never rewritten in place, so a session that
+    mapped the old file keeps reading the weights it opened.
     """
     from dataclasses import asdict
 
@@ -150,13 +152,22 @@ def save_converted(snn, path: PathLike, compress: bool = True) -> None:
     payload["__header__"] = np.frombuffer(
         json.dumps(header).encode(), dtype=np.uint8
     )
-    if compress:
-        np.savez_compressed(path, **payload)
-        return
     path = os.fspath(path)
     if not path.endswith(".npz"):    # as np.savez names it
         path += ".npz"
-    _savez_aligned(path, payload)
+    # write a new file and rename it over the old one: a reader that
+    # mapped the old file keeps its inode, and so its weights
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        if compress:
+            with open(tmp, "wb") as fh:
+                np.savez_compressed(fh, **payload)
+        else:
+            _savez_aligned(tmp, payload)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _aligned_extra(offset: int, name: str) -> bytes:

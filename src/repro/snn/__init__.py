@@ -1,7 +1,6 @@
 """Event-driven TTFS SNN simulator and the T2FSNN baseline."""
 
 from .spikes import SpikeTrain, encode_values
-from .neuron import IFNeuronPool
 from .network import EventDrivenTTFSNetwork, LayerTrace, SimulationResult
 from .t2fsnn import (
     T2FSNNConfig,
@@ -25,7 +24,6 @@ from .analysis import (
 __all__ = [
     "SpikeTrain",
     "encode_values",
-    "IFNeuronPool",
     "EventDrivenTTFSNetwork",
     "LayerTrace",
     "SimulationResult",

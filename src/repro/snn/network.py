@@ -3,24 +3,22 @@
 The network consumes the :class:`~repro.cat.convert.LayerSpec` list that
 :func:`repro.cat.convert.convert` produces and simulates the pipeline of
 Fig. 1: every layer integrates its predecessor's spikes through the
-dendrite kernel timestep by timestep, then encodes its own membrane
-potentials into output spikes with the threshold sweep.
+dendrite kernel, then encodes its own membrane potentials into output
+spikes with the threshold sweep.
 
 The layer walk itself lives in :mod:`repro.engine`;
 :class:`EventDrivenTTFSNetwork` is the TTFS coding *strategy* over that
-walk.  Two execution paths exist.  They are equal in exact arithmetic
-(Eq. 4), but not in float: each sums the membrane in its own order, and
-a membrane that lands on the other side of a spike-time grid boundary
-changes every layer after it.  The test-suite asserts them equal on
-``vgg_micro`` only; on a VGG-16 they disagree on some predictions.
-
-* ``timestep`` — faithful: loop over the window, decode the spikes of
-  each timestep, push their PSPs through the layer's synapses, then run
-  the fire-phase threshold sweep (this is what the hardware does);
-* ``closed_form`` — fast: decode the whole spike train at once (the
-  affine map is linear, so integration order is irrelevant) and use the
-  closed-form spike time (Eq. 14).  Each hidden conv layer is one fused
-  executor call (:func:`~repro.engine.executor.integrate_fire_conv`).
+walk.  Every float formulation computes one membrane,
+``affine(decoded) + bias``: each neuron fires once and, without early
+firing, is read only after the whole window, so integrating the train
+step by step is the same quantity (Eq. 4) and ``ttfs-timestep`` is an
+alias of ``ttfs-closed-form``.  The closed form decodes the whole spike
+train at once and fires at the closed-form spike time (Eq. 14); each
+hidden conv layer is one fused executor call
+(:func:`~repro.engine.executor.integrate_fire_conv`).  Early firing
+(``ttfs-early``) re-applies the same affine map to the decoded prefix of
+the train at every step that brings new spikes, so its last membrane is
+the closed form's, bit for bit.
 
 The simulation also records the statistics the hardware model consumes:
 spike counts, synaptic operations (SOPs) and per-layer occupancy.
@@ -29,7 +27,7 @@ spike counts, synaptic operations (SOPs) and per-layer occupancy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Literal, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -47,7 +45,6 @@ from ..engine.plan import PlanSet
 from ..engine.registry import register_scheme, register_scheme_alias
 from ..engine.runner import PipelineRunner, merge_traces
 from ..events import EventStream
-from .neuron import IFNeuronPool
 from .spikes import SpikeTrain, encode_values
 
 
@@ -91,7 +88,6 @@ class EventDrivenTTFSNetwork(SpikeTrainScheme):
     """
 
     def __init__(self, snn: ConvertedSNN,
-                 mode: Literal["timestep", "closed_form"] = "closed_form",
                  record_membranes: bool = False,
                  early_firing: bool = False,
                  backend: str = "dense",
@@ -99,7 +95,6 @@ class EventDrivenTTFSNetwork(SpikeTrainScheme):
         self.snn = snn
         self.config = snn.config
         self.kernel = Base2Kernel(tau=snn.config.tau, base=snn.config.base)
-        self.mode = mode
         self.record_membranes = record_membranes
         self.early_firing = early_firing
         self.backend = validate_backend(backend)
@@ -107,57 +102,47 @@ class EventDrivenTTFSNetwork(SpikeTrainScheme):
         # lazily (compile-on-first-use), a prebuilt one — e.g. loaded
         # from a ModelArtifact bundle — skips even that
         self.plans = plans if plans is not None else PlanSet()
-        self.scheme_name = ("ttfs-early" if early_firing
-                           else f"ttfs-{mode.replace('_', '-')}")
+        self.scheme_name = "ttfs-early" if early_firing else "ttfs-closed-form"
 
     # ------------------------------------------------------------------
-    def _timestep_pool(self, spec: LayerSpec, train: SpikeTrain,
-                       out_shape) -> IFNeuronPool:
-        """Timestep integration phase: a fresh pool that has accumulated
-        each step's decoded PSPs, then the once-per-window bias."""
-        theta0 = self.config.theta0
-        pool = IFNeuronPool(shape=out_shape, kernel=self.kernel,
-                            theta0=theta0)
-        for t in range(train.window + 1):
-            mask = train.mask_at(t)
-            if not mask.any():
-                continue
-            decoded_step = mask * float(self.kernel.value(t)) * theta0
-            pool.integrate(executor.affine(spec, decoded_step,
-                                           include_bias=False))
-        pool.add_bias(executor.bias_shaped(spec))
-        return pool
-
     def _decode_integrate(self, spec: LayerSpec,
                           train: SpikeTrain) -> np.ndarray:
         """Closed-form integration phase: the whole window decoded at
-        once (the affine map is linear, so integration order is
-        irrelevant), plus the once-per-window bias (Eq. 4)."""
+        once, plus the once-per-window bias (Eq. 4)."""
         decoded = train.decode(self.kernel, self.config.theta0)
         return (executor.affine(spec, decoded, include_bias=False)
                 + executor.bias_shaped(spec))
 
     def _integrate_and_fire_early(self, spec: LayerSpec, train: SpikeTrain,
-                                  pool: IFNeuronPool) -> SpikeTrain:
+                                  out_shape):
         """Overlapped integration + fire (T2FSNN 'early firing').
 
-        At every timestep the layer first integrates the spikes arriving
-        at that step, then compares the *partial* membrane against the
-        decaying threshold.  Neurons therefore fire on incomplete sums:
-        latency halves, at the cost of coding error when later inputs
-        would have changed the membrane.
+        At every step the spikes arriving at that step write their
+        decoded values into a prefix of the train, the layer's membrane
+        becomes ``affine(prefix) + bias``, and neurons that have not
+        fired yet compare it against the decaying threshold.  Neurons
+        therefore fire on partial sums: latency halves, at the cost of
+        coding error when later inputs would have changed the membrane.
+        Each input fires once, so after the last step the prefix is the
+        decoded train and the membrane is the closed form's, bitwise.
+        Returns ``(fire train, membrane)``.
         """
-        theta0 = self.config.theta0
-        window = train.window
-        pool.add_bias(executor.bias_shaped(spec))
+        theta0, window = self.config.theta0, train.window
+        decoded = train.decode(self.kernel, theta0)
+        bias = executor.bias_shaped(spec)
+        prefix = np.zeros_like(decoded)
+        membrane = np.zeros(out_shape) + bias
+        fire_times = np.full(out_shape, NO_SPIKE, dtype=np.int64)
         for t in range(window + 1):
-            mask = train.mask_at(t)
-            if mask.any():
-                decoded_step = mask * float(self.kernel.value(t)) * theta0
-                pool.integrate(executor.affine(spec, decoded_step,
-                                               include_bias=False))
-            pool.fire_step(t)
-        return SpikeTrain(times=pool.fire_times.copy(), window=window)
+            arrived = train.times == t
+            if arrived.any():
+                prefix[arrived] = decoded[arrived]
+                membrane = (executor.affine(spec, prefix, include_bias=False)
+                            + bias)
+            threshold = theta0 * float(self.kernel.value(t))
+            fire_times[(membrane >= threshold - FIRE_TOL)
+                       & (fire_times == NO_SPIKE)] = t
+        return SpikeTrain(times=fire_times, window=window), membrane
 
     # ------------------------------------------------------------------
     # Event-backend formulation
@@ -183,10 +168,8 @@ class EventDrivenTTFSNetwork(SpikeTrainScheme):
 
         Between event arrivals the membrane does not change, so the
         per-timestep comparison loop over the span collapses to one
-        ``searchsorted`` against the (monotone) threshold slice — the
-        same cumulative formulation as
-        :func:`~repro.engine.executor.fire_times_from_membrane`.
-        Fired membranes reset to zero (encoder feedback path).
+        ``searchsorted`` against the (monotone) threshold slice.  Fired
+        membranes reset to zero (encoder feedback path).
         """
         flat_m = membrane.reshape(-1)
         flat_f = fire_times.reshape(-1)
@@ -203,11 +186,13 @@ class EventDrivenTTFSNetwork(SpikeTrainScheme):
                                          plan=None):
         """Event-driven early firing: walk only the *occupied* timesteps.
 
-        Equivalent to :meth:`_integrate_and_fire_early`'s dense loop —
-        at each arrival time the new events scatter in, then the partial
-        membranes race the decaying threshold until the next arrival
-        (a :meth:`_fire_span` per gap instead of a per-``t`` Python
-        loop).  Returns ``(fire_times, membrane)``.
+        The spikes of :meth:`_integrate_and_fire_early` in exact
+        arithmetic: at each arrival time the new events scatter in, then
+        the partial membranes race the decaying threshold until the next
+        arrival (a :meth:`_fire_span` per gap instead of a per-``t``
+        Python loop).  Fired membranes reset here and not in the dense
+        walk; a neuron fires once, so only recorded membranes differ.
+        Returns ``(fire_times, membrane)``.
         """
         theta0, window = self.config.theta0, stream.window
         thresholds = theta0 * self.kernel.value(np.arange(window + 1))
@@ -275,16 +260,9 @@ class EventDrivenTTFSNetwork(SpikeTrainScheme):
                 spec, stream, out_shape, plan)
         else:
             membrane = self._integrate_events(spec, stream, plan)
-            if self.mode == "timestep":
-                # the dense fire sweep resets fired membranes, exactly
-                # like run_fire_phase on a fresh pool
-                out_times = executor.fire_times_from_membrane(
-                    membrane, self.kernel, cfg.window, cfg.theta0)
-                membrane[out_times != NO_SPIKE] = 0.0
-            else:
-                out_times = self.kernel.spike_time(
-                    np.maximum(membrane, 0.0), theta0=cfg.theta0,
-                    window=cfg.window)
+            out_times = self.kernel.spike_time(
+                np.maximum(membrane, 0.0), theta0=cfg.theta0,
+                window=cfg.window)
         out_stream = EventStream.from_dense(out_times, cfg.window)
         ctx.record(LayerTrace(
             name=name, input_spikes=in_spikes,
@@ -303,9 +281,7 @@ class EventDrivenTTFSNetwork(SpikeTrainScheme):
         name = f"{spec.kind}{ctx.weight_index}"
 
         if spec.is_output:
-            membrane = (self._timestep_pool(spec, train, out_shape).membrane
-                        if self.mode == "timestep"
-                        else self._decode_integrate(spec, train))
+            membrane = self._decode_integrate(spec, train)
             output = membrane * self.snn.output_scale
             ctx.record(LayerTrace(
                 name=name + "(out)", input_spikes=in_spikes, output_spikes=0,
@@ -314,14 +290,8 @@ class EventDrivenTTFSNetwork(SpikeTrainScheme):
             return output
 
         if self.early_firing:
-            pool = IFNeuronPool(shape=out_shape, kernel=self.kernel,
-                                theta0=cfg.theta0)
-            out_train = self._integrate_and_fire_early(spec, train, pool)
-            membrane = pool.membrane
-        elif self.mode == "timestep":
-            pool = self._timestep_pool(spec, train, out_shape)
-            out_train = pool.run_fire_phase(cfg.window)
-            membrane = pool.membrane
+            out_train, membrane = self._integrate_and_fire_early(
+                spec, train, out_shape)
         elif spec.kind == "conv":
             times, membrane = executor.integrate_fire_conv(
                 spec, train, self.kernel, cfg.theta0, self.record_membranes)
@@ -364,12 +334,7 @@ class EventDrivenTTFSNetwork(SpikeTrainScheme):
 
 @register_scheme("ttfs-closed-form")
 def _make_closed_form(snn: ConvertedSNN, **options) -> EventDrivenTTFSNetwork:
-    return EventDrivenTTFSNetwork(snn, mode="closed_form", **options)
-
-
-@register_scheme("ttfs-timestep")
-def _make_timestep(snn: ConvertedSNN, **options) -> EventDrivenTTFSNetwork:
-    return EventDrivenTTFSNetwork(snn, mode="timestep", **options)
+    return EventDrivenTTFSNetwork(snn, **options)
 
 
 @register_scheme("ttfs-early")
@@ -378,3 +343,6 @@ def _make_early(snn: ConvertedSNN, **options) -> EventDrivenTTFSNetwork:
 
 
 register_scheme_alias("ttfs", "ttfs-closed-form")
+# integrating step by step and reading after the window is Eq. 4's
+# closed form; configs and bundles that name the stepped walk load as it
+register_scheme_alias("ttfs-timestep", "ttfs-closed-form")

@@ -58,10 +58,6 @@ class SpikeTrain:
         """Fraction of neurons that never fire."""
         return 1.0 - self.num_spikes / max(self.num_neurons, 1)
 
-    def mask_at(self, t: int) -> np.ndarray:
-        """Boolean mask of neurons spiking exactly at relative time ``t``."""
-        return self.times == t
-
     def spikes_per_timestep(self) -> np.ndarray:
         """Histogram of spike counts over the window (length window+1)."""
         fired = self.times[self.times != NO_SPIKE]

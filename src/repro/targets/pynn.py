@@ -11,7 +11,7 @@ tolerances, the log-PE LUT for the fixed-point cell — is in the file;
 nothing references this package.
 
 A reference interpreter rides along (:func:`execute_netlist`).  Its cell
-dynamics — TTFS closed-form and timestep encoding, early firing, rate
+dynamics — TTFS closed-form encoding, early firing, rate
 reset-by-subtraction, the integer log-PE datapath — are implemented here
 from the netlist parameters alone.  The linear algebra (conv / matmul /
 value pooling) is deliberately *shared* with the engine
@@ -45,8 +45,8 @@ NETLIST_VERSION = 1
 NETLIST_FILE = "netlist.json"
 
 #: Schemes the compiler knows how to lower into netlist cells.
-COMPILABLE_SCHEMES = ("ttfs-closed-form", "ttfs-timestep", "ttfs-early",
-                      "rate", "fixed-point")
+COMPILABLE_SCHEMES = ("ttfs-closed-form", "ttfs-early", "rate",
+                      "fixed-point")
 
 #: Rate cell default, mirroring RateCodedNetwork(timesteps=32).
 RATE_TIMESTEPS = 32
@@ -59,11 +59,9 @@ RATE_TIMESTEPS = 32
 def _cell_defaults(scheme: str, snn) -> Dict[str, Any]:
     """The scheme's cell parameters, fully self-describing."""
     cfg = snn.config
-    if scheme in ("ttfs-closed-form", "ttfs-timestep"):
+    if scheme == "ttfs-closed-form":
         return {
             "cell_type": "ttfs_if",
-            "mode": ("timestep" if scheme == "ttfs-timestep"
-                     else "closed_form"),
             "tau": cfg.tau, "base": cfg.base, "theta0": cfg.theta0,
             "window": cfg.window, "grid_snap_tol": GRID_SNAP_TOL,
             "fire_tol": FIRE_TOL, "no_spike": NO_SPIKE,
@@ -152,7 +150,7 @@ def compile_netlist(snn, scheme: str,
 
     populations = [_pop("input", source_type,
                         {k: v for k, v in cell.items()
-                         if k not in ("cell_type", "mode")})]
+                         if k != "cell_type"})]
     projections: List[Dict[str, Any]] = []
     counters = {"weight": 0, "pool": 0, "flatten": 0}
     prev = "input"
@@ -243,18 +241,6 @@ def _decode(times, cell: Dict[str, Any]) -> np.ndarray:
     return np.where(times == NO_SPIKE, 0.0, vals)
 
 
-def _fire_sweep(membrane, cell: Dict[str, Any]) -> np.ndarray:
-    """Per-timestep threshold sweep as one searchsorted (monotone
-    threshold), identical to the engine's fire phase."""
-    window = cell["window"]
-    thresholds = cell["theta0"] * _kernel_value(np.arange(window + 1),
-                                                cell["base"], cell["tau"])
-    ascending = -(thresholds - cell["fire_tol"])
-    t = np.searchsorted(ascending, -np.asarray(membrane, dtype=np.float64),
-                        side="left")
-    return np.where(t > window, NO_SPIKE, t).astype(np.int64)
-
-
 def _pool_times(times, kernel_size: int, stride: int) -> np.ndarray:
     """Max pooling in the time domain: earliest spike wins."""
     n, c, h, w = times.shape
@@ -295,83 +281,51 @@ def _pool_spec(proj: Dict[str, Any]) -> LayerSpec:
                      stride=con["stride"])
 
 
-def _run_ttfs(netlist: Dict[str, Any], images: np.ndarray) -> np.ndarray:
-    """TTFS IF cells, closed-form or faithful timestep integration."""
+def _fire_early(spec: LayerSpec, times: np.ndarray, decoded: np.ndarray,
+                cell: Dict[str, Any]) -> np.ndarray:
+    """T2FSNN early firing: at each step that brings spikes the membrane
+    is ``affine(prefix) + bias`` over the decoded prefix of the train,
+    and a neuron fires when it first reaches the decaying threshold."""
+    bias = executor.bias_shaped(spec)
+    prefix = np.zeros_like(decoded)
+    membrane = np.zeros(executor.output_shape(spec, times.shape)) + bias
+    fired = np.full(membrane.shape, NO_SPIKE, dtype=np.int64)
+    for t in range(cell["window"] + 1):
+        arrived = times == t
+        if arrived.any():
+            prefix[arrived] = decoded[arrived]
+            membrane = executor.affine(spec, prefix,
+                                       include_bias=False) + bias
+        threshold = cell["theta0"] * float(
+            _kernel_value(t, cell["base"], cell["tau"]))
+        fired[(membrane >= threshold - cell["fire_tol"])
+              & (fired == NO_SPIKE)] = t
+    return fired
+
+
+def _run_ttfs(netlist: Dict[str, Any], images: np.ndarray,
+              early: bool = False) -> np.ndarray:
+    """TTFS IF cells: each membrane is ``affine(decoded) + bias``.
+
+    Closed-form cells fire at Eq. 14's spike time; early-firing cells
+    fire on the decoded prefix (:func:`_fire_early`).  The readout
+    integrates the complete train either way.
+    """
     cell = netlist["cell_defaults"]
-    timestep = cell.get("mode") == "timestep"
-    theta0, window = cell["theta0"], cell["window"]
     times = _spike_time(np.asarray(images, dtype=np.float64), cell)
     for proj in netlist["projections"]:
         kind = proj["connector"]["type"]
         if kind in ("dense", "conv"):
             spec = _proj_spec(proj)
-            membrane = np.zeros(executor.output_shape(spec, times.shape),
-                                dtype=np.float64)
-            if timestep:
-                for t in range(window + 1):
-                    mask = times == t
-                    if not mask.any():
-                        continue
-                    decoded_step = mask * float(
-                        _kernel_value(t, cell["base"], cell["tau"])) * theta0
-                    membrane += executor.affine(spec, decoded_step,
-                                                include_bias=False)
-            else:
-                membrane += executor.affine(spec, _decode(times, cell),
-                                            include_bias=False)
-            membrane += executor.bias_shaped(spec)
+            decoded = _decode(times, cell)
+            if early and not proj["is_output"]:
+                times = _fire_early(spec, times, decoded, cell)
+                continue
+            membrane = (executor.affine(spec, decoded, include_bias=False)
+                        + executor.bias_shaped(spec))
             if proj["is_output"]:
                 return membrane * netlist["output_scale"]
-            if timestep:
-                times = _fire_sweep(membrane, cell)
-            else:
-                times = _spike_time(np.maximum(membrane, 0.0), cell)
-        elif kind == "max_pool":
-            con = proj["connector"]
-            times = _pool_times(times, con["kernel_size"], con["stride"])
-        elif kind == "avg_pool":
-            pooled = executor.pool_values(_pool_spec(proj),
-                                          _decode(times, cell))
-            times = _spike_time(pooled, cell)
-        elif kind == "flatten":
-            times = times.reshape(times.shape[0], -1)
-    raise TargetError("netlist has no readout projection")
-
-
-def _run_ttfs_early(netlist: Dict[str, Any],
-                    images: np.ndarray) -> np.ndarray:
-    """Overlapped integrate + fire (T2FSNN early firing)."""
-    cell = netlist["cell_defaults"]
-    theta0, window = cell["theta0"], cell["window"]
-    times = _spike_time(np.asarray(images, dtype=np.float64), cell)
-    for proj in netlist["projections"]:
-        kind = proj["connector"]["type"]
-        if kind in ("dense", "conv"):
-            spec = _proj_spec(proj)
-            membrane = np.zeros(executor.output_shape(spec, times.shape),
-                                dtype=np.float64)
-            if proj["is_output"]:
-                # the readout integrates the complete train (closed form)
-                membrane += executor.affine(spec, _decode(times, cell),
-                                            include_bias=False)
-                membrane += executor.bias_shaped(spec)
-                return membrane * netlist["output_scale"]
-            membrane += executor.bias_shaped(spec)
-            fire_times = np.full(membrane.shape, NO_SPIKE, dtype=np.int64)
-            for t in range(window + 1):
-                mask = times == t
-                if mask.any():
-                    decoded_step = mask * float(
-                        _kernel_value(t, cell["base"], cell["tau"])) * theta0
-                    membrane += executor.affine(spec, decoded_step,
-                                                include_bias=False)
-                threshold = theta0 * float(
-                    _kernel_value(t, cell["base"], cell["tau"]))
-                fire = ((membrane >= threshold - cell["fire_tol"])
-                        & (fire_times == NO_SPIKE))
-                fire_times[fire] = t
-                membrane[fire] = 0.0
-            times = fire_times
+            times = _spike_time(np.maximum(membrane, 0.0), cell)
         elif kind == "max_pool":
             con = proj["connector"]
             times = _pool_times(times, con["kernel_size"], con["stride"])
@@ -523,8 +477,11 @@ def _run_fixed_point(netlist: Dict[str, Any],
 
 _RUNNERS = {
     "ttfs-closed-form": _run_ttfs,
+    # netlists exported before the stepped walk became an alias of the
+    # closed form; their cells' "mode" field is ignored
     "ttfs-timestep": _run_ttfs,
-    "ttfs-early": _run_ttfs_early,
+    "ttfs-early": lambda netlist, images: _run_ttfs(netlist, images,
+                                                    early=True),
     "rate": _run_rate,
     "fixed-point": _run_fixed_point,
 }

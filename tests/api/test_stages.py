@@ -111,6 +111,17 @@ class TestPipelineStages:
         assert metrics["total_spikes"] > 0
         assert fresh_ctx.sim_result is not None
 
+    def test_simulate_key_resolves_scheme_aliases(self, base_ctx):
+        def key(scheme):
+            config = micro_config(simulate=SimulateConfig(
+                scheme=scheme, max_batch=8, limit=8))
+            ctx = PipelineContext(config=config, dataset=base_ctx.dataset,
+                                  snn=base_ctx.snn)
+            return get_stage("simulate", config).cache_key(ctx)
+
+        assert key("ttfs-timestep") == key("ttfs-closed-form")
+        assert key("ttfs-early") != key("ttfs-closed-form")
+
     def test_hardware_reports_from_simulated_profile(self, fresh_ctx):
         get_stage("simulate", fresh_ctx.config).run(fresh_ctx)
         get_stage("hardware", fresh_ctx.config).run(fresh_ctx)

@@ -5,7 +5,7 @@ on the unsigned view of the times and fuses each hidden conv layer into
 one pass.  These are the straightforward formulations those replaced:
 elementwise kernel evaluation, out-of-place closed-form spike times, a
 windowed min with an explicit ``NO_SPIKE`` sentinel, and the layer as
-decode -> affine map -> neuron pool -> fire.  Slow, but obviously
+decode -> affine map -> bias -> fire.  Slow, but obviously
 right, so the tests hold the engine to them bitwise.
 """
 
@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.cat.kernels import GRID_SNAP_TOL, NO_SPIKE
 from repro.engine import executor
-from repro.snn import IFNeuronPool
 
 
 def decode(kernel, dt, theta0: float = 1.0) -> np.ndarray:
@@ -61,13 +60,46 @@ def pool_times(times: np.ndarray, kernel: int, stride: int) -> np.ndarray:
 
 def conv_layer(spec, times: np.ndarray, window: int, kernel,
                theta0: float = 1.0):
-    """A hidden conv layer as decode -> affine -> pool -> fire:
+    """A hidden conv layer as decode -> affine -> bias -> fire:
     ``(fire times, membrane)``, both NCHW."""
-    out_shape = executor.output_shape(spec, times.shape)
-    pool = IFNeuronPool(shape=out_shape, kernel=kernel, theta0=theta0)
-    pool.integrate(executor.affine(spec, decode(kernel, times, theta0),
-                                   include_bias=False))
-    pool.add_bias(executor.bias_shaped(spec))
-    fired = spike_time(kernel, np.maximum(pool.membrane, 0.0), theta0,
-                       window)
-    return fired, pool.membrane
+    membrane = (executor.affine(spec, decode(kernel, times, theta0),
+                                include_bias=False)
+                + executor.bias_shaped(spec))
+    fired = spike_time(kernel, np.maximum(membrane, 0.0), theta0, window)
+    return fired, membrane
+
+
+def value_walk(snn, images: np.ndarray):
+    """The float64 value-domain walk of a converted network.
+
+    Pixels encode in float64; each weight layer is the affine map of
+    the decoded activations with its bias added after integration (as
+    the spiking schemes add it), then quantised to the spike-time grid
+    by :func:`spike_time` and :func:`decode`; pooling runs on values.
+    Returns ``(readout, spikes)``: ``spikes[0]`` counts input spikes,
+    ``spikes[i]`` the output spikes of hidden weight layer ``i - 1``.
+    """
+    from repro.cat import Base2Kernel
+
+    cfg = snn.config
+    kernel = Base2Kernel(tau=cfg.tau, base=cfg.base)
+
+    def code(values):
+        times = spike_time(kernel, values, cfg.theta0, cfg.window)
+        return decode(kernel, times, cfg.theta0)
+
+    x = code(np.asarray(images, dtype=np.float64))
+    spikes = [int(np.count_nonzero(x))]
+    for spec in snn.layers:
+        if spec.is_weight_layer:
+            z = (executor.affine(spec, x, include_bias=False)
+                 + executor.bias_shaped(spec))
+            if spec.is_output:
+                return z * snn.output_scale, spikes
+            x = code(np.maximum(z, 0.0))
+            spikes.append(int(np.count_nonzero(x)))
+        elif spec.kind == "flatten":
+            x = x.reshape(len(x), -1)
+        else:
+            x = executor.pool_values(spec, x)
+    raise ValueError("network has no readout layer")

@@ -20,6 +20,7 @@ from repro.engine import (
     result_predictions,
 )
 
+#: ``ttfs-timestep`` is an alias: workers rebuild it by name as well.
 ALL_SCHEMES = ("ttfs-closed-form", "ttfs-timestep", "ttfs-early", "rate",
                "fixed-point")
 

@@ -450,3 +450,37 @@ class TestPlanLoading:
         np.testing.assert_array_equal(got.predictions, want.predictions)
         assert (got.total_spikes, got.total_sops) == \
             (want.total_spikes, want.total_sops)
+
+
+class TestOverwriteKeepsMappedReaders:
+    def test_mapped_bundle_keeps_its_weights_across_an_overwrite(
+            self, tmp_path, converted_micro):
+        """An overwrite save replaces ``snn.npz`` instead of rewriting it
+        in place: a live mapped session keeps serving the weights it
+        opened, and the next load sees the new ones, digests checked."""
+        from dataclasses import replace
+
+        bundle = tmp_path / "bundle"
+        options = dict(name="m", scheme="ttfs-closed-form", backend="dense",
+                       max_batch=8)
+        ModelArtifact.save(bundle, converted_micro, **options)
+        mapped = ModelArtifact.load(bundle, mmap_mode="r").snn
+        first = next(s for s in mapped.layers if s.weight is not None)
+        assert isinstance(first.weight, np.memmap)
+        old = np.array(first.weight)
+
+        changed = type(converted_micro)(
+            layers=[spec if spec.weight is None
+                    else replace(spec, weight=spec.weight + 1.0)
+                    for spec in converted_micro.layers],
+            config=converted_micro.config,
+            output_scale=converted_micro.output_scale)
+        ModelArtifact.save(bundle, changed, overwrite=True, **options)
+
+        np.testing.assert_array_equal(np.asarray(first.weight), old)
+        fresh = ModelArtifact.load(bundle, mmap_mode="r").snn
+        for got, want in zip(fresh.layers, changed.layers):
+            if want.weight is not None:
+                np.testing.assert_array_equal(np.asarray(got.weight),
+                                              want.weight)
+        assert not list(bundle.glob("*.tmp"))

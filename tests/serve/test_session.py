@@ -8,12 +8,14 @@ from repro.serve import InferenceSession, ModelArtifact
 
 
 class TestPredictParity:
-    @pytest.mark.parametrize("scheme", sorted(available_schemes()))
+    @pytest.mark.parametrize("scheme", sorted(available_schemes())
+                             + ["ttfs-timestep"])
     def test_loaded_session_matches_direct_runner(self, scheme,
                                                   micro_bundle,
                                                   converted_micro,
                                                   tiny_dataset):
-        """Every registered scheme predicts identically from the bundle."""
+        """Every registered scheme, and the alias of the retired stepped
+        walk, predicts identically from the bundle."""
         x = tiny_dataset.test_x[:16]
         session = InferenceSession(micro_bundle.path, scheme=scheme,
                                    warmup=False)
@@ -22,6 +24,28 @@ class TestPredictParity:
         np.testing.assert_array_equal(
             session.predict(x).predictions,
             result_predictions(direct.run(x)))
+
+    def test_bundle_recorded_with_timestep_serves_closed_form(
+            self, micro_bundle, tiny_dataset, tmp_path):
+        """A bundle whose manifest names ``ttfs-timestep`` (written before
+        it became an alias) opens and serves closed-form's bits."""
+        import json
+        import shutil
+
+        bundle = tmp_path / "old"
+        shutil.copytree(micro_bundle.path, bundle)
+        manifest_path = bundle / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["scheme"] = "ttfs-timestep"
+        manifest_path.write_text(json.dumps(manifest))
+        x = tiny_dataset.test_x[:16]
+        old = InferenceSession(bundle, warmup=False)
+        assert old.scheme_name == "ttfs-closed-form"
+        got = old.predict(x)
+        want = InferenceSession(micro_bundle, warmup=False).predict(x)
+        np.testing.assert_array_equal(got.predictions, want.predictions)
+        assert (got.total_spikes, got.total_sops) == \
+            (want.total_spikes, want.total_sops)
 
     def test_single_chw_image_accepted(self, micro_bundle, tiny_dataset):
         session = InferenceSession(micro_bundle, warmup=False)

@@ -1,6 +1,9 @@
-"""Integrate-and-fire neuron pools with kernel-based dynamic thresholds.
+"""Integrate-and-fire neuron pool: the per-timestep fire-phase oracle.
 
-Implements the two phases of a T2FSNN/CAT neuron (paper Sec. 2.2, Fig. 1):
+The engine fires at the closed-form spike time (Eq. 14,
+:meth:`Base2Kernel.spike_time`).  This pool is the hardware's threshold
+sweep it replaced, kept as the reference the tests hold Eq. 14 to.  It
+implements the two phases of a T2FSNN/CAT neuron (paper Sec. 2.2, Fig. 1):
 
 * **integration (decoding) phase** — incoming spikes are decoded through
   the dendrite kernel and accumulated into the membrane potential
@@ -20,11 +23,27 @@ from typing import Tuple
 
 import numpy as np
 
-from ..cat.kernels import NO_SPIKE
-from ..engine.executor import FIRE_TOL, fire_times_from_membrane
-from .spikes import SpikeTrain
+from repro.cat.kernels import NO_SPIKE
+from repro.engine.executor import FIRE_TOL
+from repro.snn.spikes import SpikeTrain
 
-_FIRE_TOL = FIRE_TOL  # membranes exactly on-threshold fire (float guard)
+
+def fire_times_from_membrane(membrane: np.ndarray, kernel, window: int,
+                             theta0: float = 1.0) -> np.ndarray:
+    """First threshold crossing per neuron, without a per-``t`` loop.
+
+    Bit-identical to sweeping ``t = 0..window`` and firing where
+    ``membrane >= theta0 * kernel(t) - FIRE_TOL``: the threshold decays
+    monotonically, so the crossing predicate is monotone in ``t`` and the
+    first crossing is a binary search over the threshold grid.
+    """
+    thresholds = theta0 * kernel.value(np.arange(window + 1))
+    # a[t] = -(theta(t) - tol) is ascending; the first t with
+    # a[t] >= -membrane is exactly the first t with membrane >= theta(t) - tol.
+    ascending = -(thresholds - FIRE_TOL)
+    t = np.searchsorted(ascending, -np.asarray(membrane, dtype=np.float64),
+                        side="left")
+    return np.where(t > window, NO_SPIKE, t).astype(np.int64)
 
 
 @dataclass
@@ -63,7 +82,8 @@ class IFNeuronPool:
         like the Vmem buffer of the hardware spike encoder (Sec. 4.1).
         """
         threshold = self.theta0 * float(self.kernel.value(t))
-        fire = (self.membrane >= threshold - _FIRE_TOL) & (self.fire_times == NO_SPIKE)
+        fire = ((self.membrane >= threshold - FIRE_TOL)
+                & (self.fire_times == NO_SPIKE))
         self.fire_times[fire] = t
         self.membrane[fire] = 0.0
         return fire

@@ -8,96 +8,66 @@ from repro.snn import EventDrivenTTFSNetwork
 
 
 @pytest.fixture(scope="module")
-def nets(converted_micro):
-    fast = EventDrivenTTFSNetwork(converted_micro, mode="closed_form")
-    slow = EventDrivenTTFSNetwork(converted_micro, mode="timestep")
-    return fast, slow
+def net(converted_micro):
+    return EventDrivenTTFSNetwork(converted_micro)
 
 
 class TestEquivalence:
-    def test_closed_form_matches_value_domain(self, nets, converted_micro,
+    def test_closed_form_matches_value_domain(self, net, converted_micro,
                                               tiny_dataset):
         x = tiny_dataset.test_x[:8]
-        fast, _ = nets
-        res = fast.run(x)
+        res = net.run(x)
         want = converted_micro.forward_value(x)
         assert np.allclose(res.output, want, atol=1e-5)
 
-    def test_timestep_matches_value_domain(self, nets, converted_micro,
+    def test_accuracy_matches_value_domain(self, net, converted_micro,
                                            tiny_dataset):
-        """The faithful per-timestep hardware path equals the value domain
-        — the paper's core conversion-exactness claim, spike-by-spike."""
-        x = tiny_dataset.test_x[:4]
-        _, slow = nets
-        res = slow.run(x)
-        want = converted_micro.forward_value(x)
-        assert np.allclose(res.output, want, atol=1e-5)
-
-    def test_both_modes_same_spike_counts(self, nets, tiny_dataset):
-        x = tiny_dataset.test_x[:4]
-        fast, slow = nets
-        r1, r2 = fast.run(x), slow.run(x)
-        assert r1.total_spikes == r2.total_spikes
-        for t1, t2 in zip(r1.traces, r2.traces):
-            assert t1.output_spikes == t2.output_spikes
-
-    def test_accuracy_matches_value_domain(self, nets, converted_micro,
-                                           tiny_dataset):
-        fast, _ = nets
-        acc_ev = fast.accuracy(tiny_dataset.test_x, tiny_dataset.test_y)
+        acc_ev = net.accuracy(tiny_dataset.test_x, tiny_dataset.test_y)
         acc_val = converted_micro.accuracy(tiny_dataset.test_x,
                                            tiny_dataset.test_y)
         assert acc_ev == acc_val
 
 
 class TestLatency:
-    def test_latency_matches_pipeline_formula(self, nets, converted_micro,
+    def test_latency_matches_pipeline_formula(self, net, converted_micro,
                                               tiny_dataset):
-        fast, _ = nets
-        res = fast.run(tiny_dataset.test_x[:2])
+        res = net.run(tiny_dataset.test_x[:2])
         assert res.latency_timesteps == converted_micro.latency_timesteps
 
-    def test_stage_count(self, nets, converted_micro, tiny_dataset):
-        fast, _ = nets
-        res = fast.run(tiny_dataset.test_x[:2])
+    def test_stage_count(self, net, converted_micro, tiny_dataset):
+        res = net.run(tiny_dataset.test_x[:2])
         assert res.num_stages == converted_micro.num_pipeline_stages
 
 
 class TestStatistics:
-    def test_traces_cover_all_weight_layers(self, nets, converted_micro,
+    def test_traces_cover_all_weight_layers(self, net, converted_micro,
                                             tiny_dataset):
-        fast, _ = nets
-        res = fast.run(tiny_dataset.test_x[:2])
+        res = net.run(tiny_dataset.test_x[:2])
         # input encoder + one trace per weight layer
         assert len(res.traces) == len(converted_micro.weight_layers) + 1
 
-    def test_input_trace_has_no_sops(self, nets, tiny_dataset):
-        fast, _ = nets
-        res = fast.run(tiny_dataset.test_x[:2])
+    def test_input_trace_has_no_sops(self, net, tiny_dataset):
+        res = net.run(tiny_dataset.test_x[:2])
         assert res.traces[0].sops == 0
         assert res.traces[0].name == "input-encoder"
 
-    def test_readout_emits_no_spikes(self, nets, tiny_dataset):
-        fast, _ = nets
-        res = fast.run(tiny_dataset.test_x[:2])
+    def test_readout_emits_no_spikes(self, net, tiny_dataset):
+        res = net.run(tiny_dataset.test_x[:2])
         assert res.traces[-1].output_spikes == 0
 
-    def test_sops_are_spikes_times_fanout(self, nets, converted_micro,
+    def test_sops_are_spikes_times_fanout(self, net, converted_micro,
                                           tiny_dataset):
-        fast, _ = nets
-        res = fast.run(tiny_dataset.test_x[:2])
+        res = net.run(tiny_dataset.test_x[:2])
         conv_trace = res.traces[1]
         spec = converted_micro.weight_layers[0]
         fanout = spec.kernel_size ** 2 * spec.weight.shape[0]
         assert conv_trace.sops == conv_trace.input_spikes * fanout
 
-    def test_total_sops_positive(self, nets, tiny_dataset):
-        fast, _ = nets
-        assert fast.run(tiny_dataset.test_x[:2]).total_sops > 0
+    def test_total_sops_positive(self, net, tiny_dataset):
+        assert net.run(tiny_dataset.test_x[:2]).total_sops > 0
 
-    def test_predictions_shape(self, nets, tiny_dataset):
-        fast, _ = nets
-        res = fast.run(tiny_dataset.test_x[:6])
+    def test_predictions_shape(self, net, tiny_dataset):
+        res = net.run(tiny_dataset.test_x[:6])
         assert res.predictions().shape == (6,)
 
 

@@ -1,4 +1,8 @@
-"""IF neuron pool: integration and dynamic-threshold fire phase."""
+"""IF neuron pool oracle: integration and dynamic-threshold fire phase.
+
+The sweep tests hold the engine's closed-form spike time (Eq. 14) to
+the per-timestep threshold sweep of the hardware's spike encoder.
+"""
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,7 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.cat import NO_SPIKE, Base2Kernel
-from repro.snn import IFNeuronPool
+
+from .neuron_oracle import IFNeuronPool
 
 
 def make_pool(shape=(8,), tau=4.0, theta0=1.0):

@@ -27,10 +27,6 @@ class TestStats:
         assert train.num_spikes == 3
         assert np.isclose(train.sparsity, 0.25)
 
-    def test_mask_at(self):
-        train = SpikeTrain(np.array([0, 1, 1, NO_SPIKE]), window=4)
-        assert train.mask_at(1).tolist() == [False, True, True, False]
-
     def test_histogram(self):
         train = SpikeTrain(np.array([0, 1, 1, NO_SPIKE, 4]), window=4)
         hist = train.spikes_per_timestep()

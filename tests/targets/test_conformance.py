@@ -14,8 +14,9 @@ from repro.engine import (PipelineRunner, available_schemes, create_scheme,
                           result_predictions)
 from repro.targets import available_targets, export_artifact, load_target
 
-SCHEMES = ("ttfs-closed-form", "ttfs-timestep", "ttfs-early", "rate",
-           "fixed-point")
+SCHEMES = ("ttfs-closed-form", "ttfs-early", "rate", "fixed-point")
+#: An alias exports as the scheme it names; it must conform too.
+ALIASES = ("ttfs-timestep",)
 
 
 def test_all_builtin_schemes_covered():
@@ -28,7 +29,7 @@ def _reference(snn, scheme, images):
     return np.asarray(result_predictions(runner.run(images)))
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEMES + ALIASES)
 @pytest.mark.parametrize("target", sorted(available_targets()))
 def test_backend_matches_reference_engine(tmp_path, micro_bundle,
                                           conformance_images, target,
@@ -62,6 +63,29 @@ def test_netlist_interpreter_potentials_match_engine(tmp_path, micro_bundle,
     scheme = create_scheme("ttfs-closed-form", micro_bundle.snn)
     ref = scheme.run(x)
     np.testing.assert_array_equal(got, np.asarray(ref.output))
+
+
+def test_old_timestep_netlist_runs_closed_form(tmp_path, micro_bundle,
+                                              conformance_images):
+    """A netlist exported when ``ttfs-timestep`` was its own scheme (its
+    cells carry ``mode: "timestep"``) runs the closed form, bitwise."""
+    from repro.targets.pynn import execute_netlist
+
+    import json
+
+    out = export_artifact(micro_bundle, "pynn-netlist", tmp_path / "e",
+                          scheme="ttfs-timestep")
+    netlist = json.loads((out / "netlist.json").read_text())
+    assert netlist["scheme"] == "ttfs-closed-form"
+    netlist["scheme"] = "ttfs-timestep"
+    netlist["cell_defaults"]["mode"] = "timestep"
+    for pop in netlist["populations"]:
+        if pop["cell_type"] == "ttfs_if":
+            pop["params"]["mode"] = "timestep"
+    x = conformance_images[:8]
+    ref = create_scheme("ttfs-closed-form", micro_bundle.snn).run(x)
+    np.testing.assert_array_equal(execute_netlist(netlist, x),
+                                  np.asarray(ref.output))
 
 
 def test_tile_program_cycle_report(tmp_path, micro_bundle,

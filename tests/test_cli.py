@@ -283,6 +283,18 @@ class TestEvaluateCommand:
         (point,) = report["points"]
         assert (point["scheme"], point["window"]) == ("ttfs-closed-form", 6)
 
+    def test_timestep_alias_runs_one_point(self, capsys, tmp_path):
+        # the stepped walk is an alias of the closed form: one point
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--schemes", "ttfs-timestep,ttfs-closed-form",
+                     "--windows", "6", "--max-batches", "8",
+                     "--epochs", "1", "--limit", "8", "--workers", "1",
+                     "--report", str(report_path)]) == 0
+        capsys.readouterr()
+        import json
+        (point,) = json.loads(report_path.read_text())["points"]
+        assert point["scheme"] == "ttfs-closed-form"
+
 
 class TestVersionFlag:
     def test_version_prints_and_exits_zero(self, capsys):

@@ -100,9 +100,9 @@ def test_fresh_import_registers_every_builtin():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert json.loads(out) == [
-        [["fixed-point", "rate", "ttfs-closed-form", "ttfs-early",
-          "ttfs-timestep"],
-         {"fp": "fixed-point", "ttfs": "ttfs-closed-form"}],
+        [["fixed-point", "rate", "ttfs-closed-form", "ttfs-early"],
+         {"fp": "fixed-point", "ttfs": "ttfs-closed-form",
+          "ttfs-timestep": "ttfs-closed-form"}],
         [["engine", "pynn-netlist", "tile-config"],
          {"pynn": "pynn-netlist", "reference": "engine",
           "tile": "tile-config"}],
