@@ -6,7 +6,10 @@ the repo root whose **ratio** metrics cancel out absolute machine
 speed, so they transfer across hosts far better than raw milliseconds:
 
 * ``event_stream`` — the compiled-plan event path
-  (``BENCH_event_stream.json``: ``speedup``, ``scatter_speedup``);
+  (``BENCH_event_stream.json``: ``scatter_speedup``; ``speedup`` is
+  recorded but not compared: its dense side is the 1-2 ms closed-form
+  layer, so run-to-run noise moves it by half, and every gain of the
+  dense path lowers it);
 * ``serve`` — the multi-process serving fleet (``BENCH_serve.json``:
   ``rps_vs_single``, requests/sec per worker count relative to one
   in-process session);
@@ -76,7 +79,6 @@ SUITES = {
         "bench": "benchmarks/bench_event_stream.py",
         "schema_version": 2,
         "metrics": {
-            "speedup": True,
             "scatter_speedup": True,
         },
         "key": _event_stream_key,

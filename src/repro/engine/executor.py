@@ -116,12 +116,14 @@ def integrate_fire_conv(spec, train, kernel, theta0: float = 1.0,
     rules, as in :func:`affine`): the input times index a float32
     table of the T+1 kernel values plus a zero for ``NO_SPIKE`` (the
     processor's decode LUT, Eq. 17), written straight into a
-    zero-padded NHWC buffer; im2col and the float32 GEMM
+    zero-padded channel-major ``(C, m, H+2p, W+2p)`` buffer; im2col into
+    the GEMM's K-major layout and the float32 GEMM
     (:func:`~repro.tensor.conv.conv_gemm`, weight-major at few rows);
-    the float64 bias; and the closed-form fire
-    (:meth:`Base2Kernel.fire`) in place on the float64 membrane.  Each step is the float operation the
-    unfused decode -> :func:`affine` -> integrate -> ``spike_time``
-    chain takes, so the spike times are bitwise equal to it.
+    the float64 bias, into an NHWC membrane; and the fire
+    (:meth:`Base2Kernel.fire`), read from a table by the membrane's
+    float bits.  Each step gives the bits the unfused decode ->
+    :func:`affine` -> integrate -> ``spike_time`` chain gives, so the
+    spike times are bitwise equal to it.
 
     Returns ``(times, membrane)``: NCHW int64 fire times (an NHWC
     array's transposed view), and the NCHW float64 membrane when
@@ -137,9 +139,9 @@ def integrate_fire_conv(spec, train, kernel, theta0: float = 1.0,
 
     def integrate(part):
         m = len(part)
-        padded = np.zeros((m, h + 2 * p, w + 2 * p, c_in), np.float32)
-        padded[:, p:p + h, p:p + w] = table[part.transpose(0, 2, 3, 1)]
-        cols, _ = im2col(padded.transpose(0, 3, 1, 2), k, s, 0)
+        padded = np.zeros((c_in, m, h + 2 * p, w + 2 * p), np.float32)
+        padded[:, :, p:p + h, p:p + w] = table[part.transpose(1, 0, 2, 3)]
+        cols, _ = im2col(padded.transpose(1, 0, 2, 3), k, s, 0)
         # the GEMM's rows are NHWC; the bias adds in float64, into a
         # C-ordered membrane whatever order the GEMM's result has
         membrane = np.empty((m, oh, ow, c_out))
@@ -157,7 +159,7 @@ def integrate_fire_conv(spec, train, kernel, theta0: float = 1.0,
         return fired.transpose(0, 3, 1, 2), None
     membrane = map_images(integrate, times, shape, np.float64, blas=True,
                           unit=unit)
-    fired = map_images(lambda m: kernel.fire(m.copy(), theta0, window),
+    fired = map_images(lambda m: kernel.fire(m, theta0, window),
                        membrane, shape, np.int64)
     return fired.transpose(0, 3, 1, 2), membrane.transpose(0, 3, 1, 2)
 

@@ -427,11 +427,13 @@ class FixedPointInference(SpikeTrainScheme):
     def _products_conv(self, times: np.ndarray, qt,
                        spec: LayerSpec) -> np.ndarray:
         """Fixed-point PSP sums for a conv layer via im2col unfolding of
-        its spike codes, whose zero padding is "no spike"."""
+        its spike codes, whose zero padding is "no spike".  The codes
+        are gathered by row, so the K-major unfolding is copied to C
+        order once: gathering from the transposed view ran at 0.93x."""
         n = times.shape[0]
         cols, (oh, ow) = im2col(self._spike_codes(times), spec.kernel_size,
                                 spec.stride, spec.padding)
-        acc = self._products_codes(cols, qt)
+        acc = self._products_codes(np.ascontiguousarray(cols), qt)
         c_out = qt.codes.shape[0]
         return acc.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 

@@ -222,8 +222,18 @@ def _npy_member_layout(fh, info: zipfile.ZipInfo):
     major = magic[6]
     header_len = int.from_bytes(fh.read(2 if major == 1 else 4), "little")
     header = ast.literal_eval(fh.read(header_len).decode("latin1"))
-    dtype = np.dtype(header["descr"])
-    shape = tuple(header["shape"])
+    if not isinstance(header, dict):
+        raise ValueError(".npy header is not a dict")
+    shape = header["shape"]
+    # np.lib.format's own test, so a member it rejects never maps
+    if not (isinstance(shape, tuple)
+            and all(isinstance(dim, int) for dim in shape)):
+        raise ValueError(f".npy shape is not valid: {shape!r}")
+    try:
+        dtype = np.dtype(header["descr"])
+    except TypeError:
+        raise ValueError(f".npy descr is not a valid dtype: "
+                         f"{header['descr']!r}") from None
     if dtype.hasobject or not shape:
         raise ValueError("member is not a mappable plain array")
     return dtype, shape, bool(header["fortran_order"]), fh.tell()

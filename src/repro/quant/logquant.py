@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import threads
+from ..buckets import FALLBACK, magnitude_keys, step_table
 
 
 @dataclass(frozen=True)
@@ -115,14 +116,6 @@ class QuantizedTensor:
 #: 11 + 5 for float64, so 2**16 buckets either way.
 KEY_BITS = 16
 
-#: Relative distance a bucket keeps from every level boundary and from
-#: the zero cut before it takes its code from the table.  The float64
-#: formula misplaces a magnitude by a few ulps of its log2 (below
-#: 2**-40 relative), far inside it.
-BOUNDARY_MARGIN = 2.0 ** -30
-
-_FALLBACK = -2  # table entry: the bucket's magnitudes take the formula
-
 
 def level_codes(mags: np.ndarray, fsr: float,
                 config: LogQuantConfig) -> np.ndarray:
@@ -142,60 +135,24 @@ def level_codes(mags: np.ndarray, fsr: float,
     return np.where(zero, -1, k).astype(np.int32)
 
 
-def _bucket_keys(x: np.ndarray) -> np.ndarray:
-    """The bucket of each |x|: its top :data:`KEY_BITS` bits after the
-    sign (float32 or float64 ``x``, C-contiguous)."""
-    uint = np.dtype(f"u{x.dtype.itemsize}")
-    keys = x.view(uint) << uint.type(1)
-    keys >>= uint.type(8 * uint.itemsize - KEY_BITS)
-    return keys
-
-
 def _code_table(dtype, fsr: float, config: LogQuantConfig) -> np.ndarray:
-    """The code of every magnitude bucket of ``dtype``, or ``_FALLBACK``.
+    """The code of every magnitude bucket of ``dtype``
+    (:func:`repro.buckets.step_table`), or ``FALLBACK``.
 
-    Bucket ``b`` holds the magnitudes whose bits after the sign start
-    with ``b`` (:func:`_bucket_keys`), ``[lo_b, lo_{b+1})``; the buckets
-    ascend with ``b``.  The code changes only where the magnitude
-    crosses a level boundary ``fsr * 2**(-(k + 1/2) * step)``, ``k < L -
-    1``, or the zero cut (``k = L - 1``): a magnitude with ``n`` of
-    them below it has code ``L - n``, or -1 when ``n`` is 0.  A bucket
-    more than :data:`BOUNDARY_MARGIN` away from all of them, relative,
-    has that one code, and the float64 formula, whose error is far
-    inside the margin, gives it too.  The other buckets fall back to
-    :func:`level_codes` per element: those within the margin of a
-    boundary or the cut, zero and the subnormals, and inf/nan.
+    The code changes only where the magnitude crosses a level boundary
+    ``fsr * 2**(-(k + 1/2) * step)``, ``k < L - 1``, or the zero cut
+    (``k = L - 1``): a magnitude with ``n`` of them below it has code
+    ``L - n``, or -1 when ``n`` is 0.  The boundaries are placed in the
+    log2 domain as the formula places magnitudes, within 2**-40
+    relative down to the subnormals (whose buckets all fall back), and
+    the float64 formula's error is far inside the table's margin.
     """
-    dtype = np.dtype(dtype)
-    uint = np.dtype(f"u{dtype.itemsize}")
-    nexp = np.finfo(dtype).nexp
-    size = 1 << KEY_BITS
-    # the first bucket of the inf/nan exponent; every edge from it on
-    # reads as +inf
-    top = ((1 << nexp) - 1) << (KEY_BITS - nexp)
-    keys = np.minimum(np.arange(size + 1, dtype=uint), uint.type(top))
-    edges = (keys << uint.type(8 * uint.itemsize - 1 - KEY_BITS)).view(dtype)
-    edges = edges.astype(np.float64)
-    lo, hi = edges[:-1], edges[1:]
-    # the boundaries ascending, the zero cut first, placed in the log2
-    # domain as the formula places magnitudes: within 2**-40 relative
-    # down to the subnormals, whose buckets all fall back
     levels = config.num_levels
     bounds = np.exp2(math.log2(fsr) - config.step
                      * (np.arange(levels)[::-1] + 0.5))
-    # a bucket past n boundaries has code L - n, -1 past none
     codes = np.arange(levels, -1, -1, dtype=np.int32)
     codes[0] = -1
-    passed = np.searchsorted(lo, bounds, "right")
-    table = np.repeat(codes, np.diff(passed, prepend=0, append=size))
-    # the buckets each boundary reaches within the margin, [first, end)
-    first = np.searchsorted(hi, bounds / (1 + BOUNDARY_MARGIN), "left")
-    end = np.searchsorted(lo, bounds / (1 - BOUNDARY_MARGIN), "right")
-    for a, b in zip(first.tolist(), end.tolist()):
-        table[a:b] = _FALLBACK
-    table[:1 << (KEY_BITS - nexp)] = _FALLBACK  # zero and the subnormals
-    table[top:] = _FALLBACK
-    return table
+    return step_table(dtype, KEY_BITS, bounds, codes)
 
 
 def quantize_tensor(w: np.ndarray, config: LogQuantConfig) -> QuantizedTensor:
@@ -238,8 +195,8 @@ def quantize_tensor(w: np.ndarray, config: LogQuantConfig) -> QuantizedTensor:
     table = _code_table(w.dtype, fsr, config)
 
     def part_codes(part: np.ndarray) -> np.ndarray:
-        codes = table.take(_bucket_keys(part).reshape(-1))
-        rest = np.flatnonzero(codes == _FALLBACK)
+        codes = table.take(magnitude_keys(part, KEY_BITS).reshape(-1))
+        rest = np.flatnonzero(codes == FALLBACK)
         if rest.size:
             codes[rest] = level_codes(np.abs(part.reshape(-1)[rest]), fsr,
                                       config)

@@ -403,10 +403,12 @@ class ModelArtifact:
                 f"{path}: no {MANIFEST_NAME} — not a ModelArtifact bundle "
                 "(build one with ModelArtifact.build or 'repro build')")
         try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
+            manifest = json.loads(manifest_path.read_bytes().decode())
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as exc:
             raise ArtifactError(
-                f"{manifest_path}: corrupted manifest ({exc})") from None
+                f"{manifest_path}: corrupted manifest "
+                f"({type(exc).__name__}: {exc})") from None
         if not isinstance(manifest, dict):
             raise ArtifactError(
                 f"{manifest_path}: corrupted manifest (expected an object, "
@@ -425,4 +427,19 @@ class ModelArtifact:
             raise ArtifactError(
                 f"{manifest_path}: manifest is missing required field(s) "
                 f"{', '.join(missing)} — truncated or hand-edited bundle")
+        files = manifest["files"]
+        wrong = [key for key in ("name", "scheme", "backend")
+                 if not isinstance(manifest[key], str)]
+        if (not isinstance(manifest["max_batch"], int)
+                or isinstance(manifest["max_batch"], bool)):
+            wrong.append("max_batch")
+        if not (isinstance(files, dict) and all(
+                isinstance(v, str) for v in files.values())):
+            wrong.append("files")
+        if wrong:
+            raise ArtifactError(
+                f"{manifest_path}: manifest field(s) {', '.join(wrong)} "
+                "have the wrong type (name, scheme and backend are "
+                "strings, max_batch an integer, files maps file names to "
+                "digest strings) — hand-edited bundle")
         return path, manifest

@@ -13,11 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import threads
-from repro.cat import Base2Kernel
+from repro.buckets import BOUNDARY_MARGIN, FALLBACK, signed_keys
+from repro.cat import Base2Kernel, CATConfig, convert
+from repro.cat import kernels as kernels_module
 from repro.cat.convert import LayerSpec
-from repro.cat.kernels import GRID_SNAP_TOL
-from repro.engine import executor
+from repro.cat.kernels import FIRE_KEY_BITS, GRID_SNAP_TOL, fire_table
+from repro.engine import create_scheme, executor
 from repro.events import NO_SPIKE
+from repro.nn import init as nninit, vgg16
 from repro.snn.spikes import SpikeTrain
 
 from . import closed_form_oracle as oracle
@@ -130,7 +133,7 @@ class TestInPlaceSpikeTime:
         times = kernel.fire(membrane, 1.0, WINDOW)
         assert times.dtype == np.int64 and times.shape == (2, 2)
         assert times.tolist() == [[0, 7], [NO_SPIKE, NO_SPIKE]]
-        assert membrane[0, 1] != 0.3
+        assert membrane[0, 1] == 0.3   # the table reads, never writes
 
     @pytest.mark.parametrize("window", [-1, -5])
     def test_negative_window_never_fires(self, window):
@@ -138,6 +141,129 @@ class TestInPlaceSpikeTime:
         x = np.array([2.0, 1.0, 0.5, 0.0, -1.0])
         assert_bitwise(kernel.spike_time(x, 1.0, window),
                        oracle.spike_time(kernel, x, 1.0, window))
+
+
+def thresholds(kernel, theta0, window):
+    """The membranes at which the closed form steps to time ``t``, for
+    ``t`` in ``0..window`` (``0..WINDOW`` without a window)."""
+    steps = np.arange((WINDOW if window is None else window) + 1)
+    return theta0 * kernel.base ** (-(steps + GRID_SNAP_TOL) / kernel.tau)
+
+
+def ulps_around(values, count):
+    """Every float64 within ``count`` ulps of each of ``values``."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    return (bits[:, None] + np.arange(-count, count + 1)).ravel().view(
+        np.float64)
+
+
+def bucket_edges_around(values, reach=3, count=16):
+    """The lower edges of the ``FIRE_KEY_BITS`` buckets within ``reach``
+    of each of ``values``, and ``count`` ulps either side of each: where
+    the table hands over to the formula and back."""
+    shift = 64 - FIRE_KEY_BITS
+    keys = signed_keys(np.asarray(values, dtype=np.float64), FIRE_KEY_BITS)
+    near = (keys[:, None] + np.arange(-reach, reach + 2)).ravel()
+    return ulps_around((near << shift).view(np.float64), count)
+
+
+class TestFireTable:
+    """The fire table stands in for the closed form bitwise: on every
+    float near a threshold (where the formula decides), on the bucket
+    edges where table and formula hand over, and on the specials."""
+
+    @PROPERTY
+    @given(base=st.sampled_from([2.0, np.e]), tau=st.sampled_from([2.0, 4.0, 8.0]),
+           # 1e-300: the last thresholds are subnormal, so zero and the
+           # subnormals fall back instead of reading NO_SPIKE
+           theta0=st.sampled_from([1.0, 0.5, 3.7, 1e-3, 250.0, 1e-300]),
+           window=st.sampled_from([None, 0, 24, 80]),
+           threads_=st.sampled_from([1, 2]))
+    def test_equals_the_formula_at_every_boundary(self, base, tau, theta0,
+                                                  window, threads_):
+        kernel = Base2Kernel(tau=tau, base=base)
+        bounds = thresholds(kernel, theta0, window)
+        values = np.concatenate([
+            ulps_around(bounds, 4096),
+            bucket_edges_around(bounds),
+            bucket_edges_around(bounds * (1 + 2 * BOUNDARY_MARGIN)),
+            bucket_edges_around(bounds * (1 - 2 * BOUNDARY_MARGIN)),
+            special_values(kernel, theta0)])
+        values = np.concatenate([values, -values])
+        with most_slices(), pool_threads(threads_):
+            got = kernel.spike_time(values, theta0, window)
+        assert_bitwise(got, oracle.spike_time(kernel, values, theta0,
+                                              window))
+
+    @pytest.mark.parametrize("window", [0, 24, 80])
+    def test_table_settles_all_but_the_boundary_buckets(self, window):
+        kernel = Base2Kernel(tau=4.0)
+        table = fire_table(kernel, 1.0, window)
+        assert table.size == 1 << FIRE_KEY_BITS
+        assert (table[table.size // 2:] == NO_SPIKE).all()   # negatives
+        fallback = np.flatnonzero(table == FALLBACK)
+        # inf/nan and 1-2 buckets per threshold; zero and the
+        # subnormals lie far below the last threshold and never fire
+        assert len(fallback) <= (1 << (FIRE_KEY_BITS - 12)) \
+            + 2 * (window + 1)
+        assert table[0] == NO_SPIKE
+        settled = np.setdiff1d(np.arange(table.size // 2), fallback)
+        lows = (settled.astype(np.int64) << (64 - FIRE_KEY_BITS)).view(
+            np.float64)
+        assert_bitwise(table[settled].astype(np.int64),
+                       oracle.spike_time(kernel, lows, 1.0, window))
+
+    def test_subnormal_thresholds_keep_zero_on_the_formula(self):
+        kernel = Base2Kernel(tau=2.0)
+        table = fire_table(kernel, 1e-300, 80)
+        assert table[0] == FALLBACK
+        tiny = np.finfo(np.float64).tiny
+        values = np.concatenate([
+            [0.0, 5e-324, tiny / 2, tiny],
+            ulps_around(thresholds(kernel, 1e-300, 80)[-8:], 64)])
+        assert_bitwise(kernel.spike_time(values, 1e-300, 80),
+                       oracle.spike_time(kernel, values, 1e-300, 80))
+
+    def test_no_table_without_a_window_or_off_its_domain(self):
+        kernel = Base2Kernel(tau=4.0)
+        assert fire_table(kernel, 1.0, None) is None
+        for theta0 in (0.0, -1.0, np.inf, np.nan):
+            assert fire_table(kernel, theta0, 24) is None
+        assert fire_table(Base2Kernel(tau=4.0, base=0.5), 1.0, 24) is None
+        assert fire_table(Base2Kernel(tau=-4.0), 1.0, 24) is None
+        x = np.array([2.0, 1.0, 0.3, 0.0, -1.0, np.nan])
+        for theta0 in (0.0, -1.0):
+            assert_bitwise(kernel.spike_time(x, theta0, 24),
+                           oracle.spike_time(kernel, x, theta0, 24))
+
+    def test_few_vgg16_membranes_take_the_formula(self, monkeypatch):
+        """On an untrained VGG-16 at T=24, tau=4, every fused conv layer
+        settles at least 98% of its membranes from the table."""
+        nninit.seed(0)
+        snn = convert(vgg16(), CATConfig(window=24, tau=4))
+        images = np.random.default_rng(0).random((2, 3, 32, 32),
+                                                 dtype=np.float32)
+        formula, layers = [], []
+        fire_formula = kernels_module.fire_formula
+        integrate_fire_conv = executor.integrate_fire_conv
+
+        def count_formula(kernel, buf, theta0, window):
+            formula.append(buf.size)
+            return fire_formula(kernel, buf, theta0, window)
+
+        def per_layer(spec, train, *args, **kwargs):
+            formula.clear()
+            times, membrane = integrate_fire_conv(spec, train, *args,
+                                                  **kwargs)
+            layers.append((sum(formula), times.size))
+            return times, membrane
+
+        monkeypatch.setattr(kernels_module, "fire_formula", count_formula)
+        monkeypatch.setattr(executor, "integrate_fire_conv", per_layer)
+        create_scheme("ttfs-closed-form", snn).run(images)
+        assert len(layers) == 13
+        for took, size in layers:
+            assert took <= 0.02 * size
 
 
 class TestUnsignedPool:

@@ -183,6 +183,60 @@ class TestConvertedFormatVersioning:
             load_converted(path)
 
 
+def _npy_bytes(header: str, payload: bytes) -> bytes:
+    """A version-1.0 ``.npy`` stream with ``header`` as its dict text."""
+    text = header.encode("latin1")
+    text += b" " * (-(10 + len(text) + 1) % 64) + b"\n"
+    return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") \
+        + text + payload
+
+
+class TestMalformedNpyHeaders:
+    """A stored member whose ``.npy`` header has the wrong types fails
+    as a :class:`SerializationError` naming the file, whichever way the
+    bundle is opened."""
+
+    @staticmethod
+    def _rewrite_member(path, name, stream):
+        import zipfile
+
+        with zipfile.ZipFile(path) as zf:
+            members = {info.filename: zf.read(info) for info in zf.infolist()}
+        members[name] = stream
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+            for member, data in members.items():
+                zf.writestr(member, data)
+
+    @pytest.mark.parametrize("header", [
+        "{'descr': '<f4', 'fortran_order': False, 'shape': 5, }",
+        "{'descr': '<f4', 'fortran_order': False, 'shape': ('a',), }",
+        "{'descr': 7, 'fortran_order': False, 'shape': (3,), }",
+        "['descr', '<f4']",
+    ], ids=["int-shape", "str-dim", "int-descr", "not-a-dict"])
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    def test_raises_serialization_error(self, tmp_path, converted_micro,
+                                        header, mmap_mode):
+        from repro.nn.serialization import SerializationError
+
+        path = tmp_path / "snn.npz"
+        save_converted(converted_micro, path, compress=False)
+        self._rewrite_member(path, "w/0.npy", _npy_bytes(header, bytes(12)))
+        with pytest.raises(SerializationError, match=r"snn\.npz: "):
+            load_converted(path, mmap_mode=mmap_mode)
+
+    def test_mmap_members_leave_the_member_out(self, tmp_path,
+                                               converted_micro):
+        from repro.nn.serialization import mmap_npz_members
+
+        path = tmp_path / "snn.npz"
+        save_converted(converted_micro, path, compress=False)
+        self._rewrite_member(path, "w/0.npy", _npy_bytes(
+            "{'descr': 7, 'fortran_order': False, 'shape': (3,), }",
+            bytes(12)))
+        members = mmap_npz_members(path)
+        assert "w/0" not in members and "b/0" in members
+
+
 class TestConvertedMmap:
     def test_uncompressed_bundle_maps_weights(self, tmp_path,
                                               converted_micro):

@@ -87,6 +87,36 @@ class TestIntegrityChecks:
         with pytest.raises(ArtifactError, match="corrupted manifest"):
             ModelArtifact.load(artifact.path)
 
+    @pytest.mark.parametrize("content", [
+        b'{"name": "m", "scheme": "\xff\xfe"}',       # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,               # nested too deep
+    ], ids=["non-utf8", "deep"])
+    def test_unreadable_manifest_names_it(self, tmp_path, converted_micro,
+                                          content):
+        artifact = ModelArtifact.save(tmp_path / "b", converted_micro,
+                                      name="m", scheme="rate")
+        (artifact.path / MANIFEST_NAME).write_bytes(content)
+        with pytest.raises(ArtifactError,
+                           match=rf"{MANIFEST_NAME}: corrupted manifest"):
+            ModelArtifact.load(artifact.path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("files", {"snn.npz": 5}), ("files", ["snn.npz"]), ("scheme", 5),
+        ("name", None), ("backend", ["dense"]), ("max_batch", "32"),
+        ("max_batch", True),
+    ])
+    def test_wrong_field_type_names_the_manifest(self, tmp_path,
+                                                 converted_micro, field,
+                                                 value):
+        artifact = ModelArtifact.save(tmp_path / "b", converted_micro,
+                                      name="m", scheme="rate")
+        self._mutate_manifest(artifact.path,
+                              lambda m: m.update({field: value}))
+        with pytest.raises(ArtifactError,
+                           match=rf"{MANIFEST_NAME}: manifest field\(s\) "
+                                 rf"{field} have the wrong type"):
+            ModelArtifact.load(artifact.path)
+
     def _mutate_manifest(self, path, mutate):
         manifest = json.loads((path / MANIFEST_NAME).read_text())
         mutate(manifest)

@@ -17,19 +17,22 @@ def compare_main():
     return runpy.run_path(str(COMPARE))["main"]
 
 
-def _write_suite(tmp_path, baseline_speedup, fresh_speedup):
+def _write_suite(tmp_path, baseline_speedup, fresh_speedup,
+                 dense_speedup=(1.0, 1.0)):
+    """An event_stream baseline and fresh run whose ``scatter_speedup``
+    (compared) and ``speedup`` (recorded only) are as given."""
     record = {"scheme": "ttfs-closed-form", "window": 8,
               "input_density": 0.5}
     base = tmp_path / "base.json"
     fresh = tmp_path / "fresh.json"
     base.write_text(json.dumps({
         "schema_version": 2,
-        "records": [{**record, "speedup": baseline_speedup,
-                     "scatter_speedup": 1.0}]}))
+        "records": [{**record, "speedup": dense_speedup[0],
+                     "scatter_speedup": baseline_speedup}]}))
     fresh.write_text(json.dumps({
         "schema_version": 2,
-        "records": [{**record, "speedup": fresh_speedup,
-                     "scatter_speedup": 1.0}]}))
+        "records": [{**record, "speedup": dense_speedup[1],
+                     "scatter_speedup": fresh_speedup}]}))
     return base, fresh
 
 
@@ -42,6 +45,14 @@ def test_within_tolerance_passes(tmp_path, compare_main, capsys):
     base, fresh = _write_suite(tmp_path, 10.0, 9.0)
     assert compare_main(_args(base, fresh)) == 0
     assert "within" in capsys.readouterr().out
+
+
+def test_dense_speedup_is_recorded_not_compared(tmp_path, compare_main,
+                                                capsys):
+    # a faster dense closed form halves speedup; that is no regression
+    base, fresh = _write_suite(tmp_path, 10.0, 10.0, dense_speedup=(0.2, 0.1))
+    assert compare_main(_args(base, fresh)) == 0
+    assert "regressed" not in capsys.readouterr().out
 
 
 def test_regression_fails_strict(tmp_path, compare_main, capsys):
