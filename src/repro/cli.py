@@ -13,8 +13,9 @@ Fast, self-contained entry points into the reproduction:
 * ``simulate``— run a coding scheme with the batched engine runner,
   either after a fresh micro-training or straight from a prebuilt
   ``--artifact`` bundle (no training at all);
-* ``evaluate``— sweep scheme x max-timestep x batch grids through the
-  process-parallel, result-cached runner and emit a JSON report;
+* ``evaluate``— sweep scheme x max-timestep x batch grids, cache-missed
+  chunks fanned over ``--workers`` threads and cached results replayed,
+  and emit a JSON report;
 * ``build``  — run a config's build stages (train/convert/quantize) and
   write a versioned :class:`repro.serve.ModelArtifact` bundle, or
   publish it into a model registry;
@@ -421,9 +422,16 @@ def _cmd_evaluate(args) -> int:
     x, y = dataset.test_x, dataset.test_y
     if args.limit:
         x, y = x[:args.limit], y[:args.limit]
+    if args.workers > 1:
+        # one chunk per thread, each running its layers inline: BLAS on
+        # one thread, as the GEMM splits require
+        from .threads import set_blas_threads, set_threads
+
+        set_threads(args.workers)
+        set_blas_threads(1)
 
     print(f"sweeping {len(grid.points())} grid point(s) over {len(x)} "
-          f"images ({args.workers} worker(s), cache "
+          f"images ({args.workers} thread(s), cache "
           f"{'at ' + args.cache_dir if cache is not None else 'off'})")
 
     def progress(rec):
@@ -843,8 +851,8 @@ def _add_simulate_parser(sub) -> None:
 def _add_evaluate_parser(sub) -> None:
     p = sub.add_parser(
         "evaluate",
-        help="sweep scheme x window x batch grids with the cached "
-             "parallel runner")
+        help="sweep scheme x window x batch grids, cached, chunks on "
+             "--workers threads")
     p.add_argument("--schemes", default="ttfs-closed-form,rate",
                    help="comma-separated registered scheme names")
     p.add_argument("--windows", default="8",
@@ -859,7 +867,9 @@ def _add_evaluate_parser(sub) -> None:
     p.add_argument("--limit", type=int, default=0,
                    help="cap the number of test images (0 = all)")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for chunk sharding")
+                   help="threads running cache-missed chunks at once "
+                        "(1: one chunk at a time, its layers split "
+                        "over the cores)")
     p.add_argument("--cache-dir", default=None,
                    help="result-cache directory (repeat sweeps hit it)")
     p.add_argument("--report", default=None,

@@ -10,9 +10,9 @@ conv offset tables), the segment-sum scatter kernels, and plan
 ``registry``  — pluggable coding schemes (``ttfs-closed-form``,
 ``ttfs-early``, ``rate``, ``fixed-point``, ...) and their aliases
 (``ttfs``, ``ttfs-timestep``, ``fp``);
-``parallel``  — process-parallel sharding of the runner's chunks;
 ``cache``     — content-addressed on-disk store of chunk results;
-``sweep``     — scheme x max-timestep x batch experiment orchestration.
+``sweep``     — scheme x max-timestep x batch experiment orchestration,
+its cache-missed chunks fanned over the shared thread pool.
 
 See ``docs/engine.md`` for the architecture note and how to add a new
 coding scheme.
@@ -42,7 +42,6 @@ from .executor import (
     validate_backend,
 )
 from .cache import ResultCache, digest, run_key, scheme_digest
-from .parallel import ParallelRunner, SchemeSpec
 from .plan import (
     PLAN_FORMAT_VERSION,
     ConvPlan,
@@ -68,9 +67,8 @@ from .runner import (
     chunk_bounds,
     merge_traces,
     result_predictions,
-    streamed_accuracy,
 )
-from .sweep import SweepGrid, SweepPoint, run_sweep, spec_for_point, variant_snn
+from .sweep import SweepGrid, SweepPoint, point_options, run_sweep, variant_snn
 
 __all__ = [
     "BACKENDS",
@@ -114,16 +112,13 @@ __all__ = [
     "chunk_bounds",
     "merge_traces",
     "result_predictions",
-    "streamed_accuracy",
-    "ParallelRunner",
-    "SchemeSpec",
     "ResultCache",
     "digest",
     "run_key",
     "scheme_digest",
     "SweepGrid",
     "SweepPoint",
+    "point_options",
     "run_sweep",
-    "spec_for_point",
     "variant_snn",
 ]

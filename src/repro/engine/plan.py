@@ -37,8 +37,9 @@ this module) and above :mod:`repro.events`; imports nothing else.
 from __future__ import annotations
 
 import json
+import threading
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -311,6 +312,8 @@ class PlanSet:
     def __init__(self, plans: Optional[Dict[int, Plan]] = None):
         self._plans: Dict[int, Plan] = dict(plans or {})
         self._pinned: Dict[int, tuple] = {}
+        # a sweep runs one scheme's chunks on several threads at once
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -325,21 +328,24 @@ class PlanSet:
         return dict(self._plans)
 
     def plan_for(self, spec, weight_index: int, in_shape) -> Plan:
-        """The (validated) plan for ``spec``, compiling on miss."""
+        """The (validated) plan for ``spec``, compiling on miss and with
+        its weight arrays filled in; safe to call from several threads."""
         in_hw = tuple(int(v) for v in in_shape[2:]) \
             if spec.kind == "conv" else ()
-        plan = self._plans.get(weight_index)
         pin = (id(spec.weight), in_hw)
-        if plan is not None and self._pinned.get(weight_index) == pin:
+        with self._lock:
+            plan = self._plans.get(weight_index)
+            if plan is not None and self._pinned.get(weight_index) == pin:
+                return plan
+            ok = plan is not None and (
+                plan.matches(spec, in_hw) if spec.kind == "conv"
+                else plan.matches(spec))
+            if not ok:
+                plan = self.compile(spec, weight_index, in_hw)
+                self._plans[weight_index] = plan
+            plan._materialise(spec)
+            self._pinned[weight_index] = pin
             return plan
-        ok = plan is not None and (
-            plan.matches(spec, in_hw) if spec.kind == "conv"
-            else plan.matches(spec))
-        if not ok:
-            plan = self.compile(spec, weight_index, in_hw)
-            self._plans[weight_index] = plan
-        self._pinned[weight_index] = pin
-        return plan
 
     @staticmethod
     def compile(spec, weight_index: int, in_hw=()) -> Plan:

@@ -2,11 +2,13 @@
 
 The simulators operate on whole batches; the chip operates image by
 image.  :class:`PipelineRunner` bridges the two scales: it splits large
-batches into ``max_batch`` chunks (bounding peak memory — the time-step
-and rate paths materialise per-timestep state), streams per-chunk
+batches into ``max_batch`` chunks (bounding peak memory — the rate path
+carries every time step's signal between layers), streams per-chunk
 results, and folds the chunk statistics back into one result via the
 scheme's ``merge``.  Spike/SOP/trace aggregation lives here, in one
-place, for every coding scheme.
+place, for every coding scheme; the sweep
+(:func:`~repro.engine.sweep.run_chunks`) runs the same chunks, cached
+and fanned over the thread pool.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .executor import CodingScheme, LayerTrace, validate_backend
 def chunk_bounds(n: int, max_batch: int) -> Iterator[tuple]:
     """(start, stop) bounds splitting ``n`` items into ``max_batch`` runs.
 
-    Shared by the serial :class:`PipelineRunner` and the process-parallel
-    :class:`~repro.engine.parallel.ParallelRunner` so both shard a batch
+    Shared by :class:`PipelineRunner` and the sweep's
+    :func:`~repro.engine.sweep.run_chunks`, so both shard a batch
     identically (a prerequisite for bit-identical results).
     """
     for start in range(0, n, max_batch):
@@ -68,10 +70,8 @@ def record_chunk_metrics(registry: MetricsRegistry, scheme: Any,
                          result: Any) -> None:
     """Record one executed chunk into ``registry`` (enabled ones only).
 
-    The single bookkeeping path behind every runner: the serial
-    :class:`PipelineRunner`, the parent-side serial fallback of
-    :class:`~repro.engine.parallel.ParallelRunner` and its pool workers
-    all report chunks/images/time plus, when the scheme produced
+    The single bookkeeping path behind :class:`PipelineRunner` and the
+    sweep's chunks: chunks/images/time plus, when the scheme produced
     traces, per-layer spike/SOP totals.
     """
     scheme_name = type(scheme).__name__
@@ -101,9 +101,8 @@ def run_recorded(scheme: Any, chunk: np.ndarray,
                  registry: MetricsRegistry) -> Any:
     """``scheme.run(chunk)``, timed into ``registry`` when it is enabled.
 
-    The one timed-run block behind every runner: the serial
-    :class:`PipelineRunner`, the serial fallback of
-    :class:`~repro.engine.parallel.ParallelRunner` and its pool workers.
+    The one timed-run block behind :class:`PipelineRunner` and the
+    sweep's chunks.
     """
     if not registry.enabled:
         return scheme.run(chunk)
@@ -194,26 +193,14 @@ class PipelineRunner:
         """Top-1 accuracy, streamed chunk by chunk (constant memory)."""
         images = np.asarray(images)
         labels = np.asarray(labels)
-        return streamed_accuracy(self.stream(images),
-                                 self.chunk_bounds(len(images)),
-                                 images, labels)
-
-
-def streamed_accuracy(results: Iterator[Any], bounds: Iterator[tuple],
-                      images: np.ndarray, labels: np.ndarray) -> float:
-    """Fold per-chunk results into top-1 accuracy against ``labels``.
-
-    One implementation under every runner's ``accuracy``: the serial and
-    parallel runners both hand their ``stream`` here instead of re-running
-    the scheme with a private chunk loop.
-    """
-    if len(images) != len(labels):
-        raise ValueError(
-            f"got {len(images)} images but {len(labels)} labels")
-    if len(labels) == 0:
-        raise ValueError("empty image batch")
-    correct = 0
-    for (start, stop), result in zip(bounds, results):
-        preds = result_predictions(result)
-        correct += int((preds == labels[start:stop]).sum())
-    return correct / len(labels)
+        if len(images) != len(labels):
+            raise ValueError(
+                f"got {len(images)} images but {len(labels)} labels")
+        if len(labels) == 0:
+            raise ValueError("empty image batch")
+        correct = 0
+        for (start, stop), result in zip(self.chunk_bounds(len(images)),
+                                         self.stream(images)):
+            preds = result_predictions(result)
+            correct += int((preds == labels[start:stop]).sum())
+        return correct / len(labels)

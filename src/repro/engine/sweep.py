@@ -3,10 +3,11 @@
 The paper's evaluation is made of sweeps — Fig. 2 varies the coding
 window, Table 1/2 vary the scheme, Table 4 varies the workload — and a
 reproduction wants to re-run them constantly with one knob changed.
-:func:`run_sweep` enumerates a :class:`SweepGrid`, pushes every point
-through the :class:`~repro.engine.parallel.ParallelRunner` (optionally
-backed by a :class:`~repro.engine.cache.ResultCache`, so unchanged
-points replay from disk), and emits one machine-readable report dict
+:func:`run_sweep` enumerates a :class:`SweepGrid`, runs every point's
+``max_batch`` chunks through the scheme (optionally backed by a
+:class:`~repro.engine.cache.ResultCache`, so unchanged chunks replay
+from disk, and with ``workers`` > 1 concurrently on the shared thread
+pool), and emits one machine-readable report dict
 that ``repro evaluate`` prints/persists and
 :func:`repro.analysis.reporting.format_sweep_report` renders.
 
@@ -25,9 +26,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cache import ResultCache
-from .parallel import ParallelRunner, SchemeSpec
-from .runner import result_predictions
+from .. import threads
+from ..obs import get_registry
+from .cache import ResultCache, run_key, scheme_digest
+from .registry import create_scheme
+from .runner import chunk_bounds, result_predictions, run_recorded
 
 #: Version of the report dict layout (golden-tested).
 REPORT_SCHEMA_VERSION = 1
@@ -97,13 +100,58 @@ def variant_snn(snn, window: int):
                      output_scale=snn.output_scale)
 
 
-def spec_for_point(snn, point: SweepPoint) -> SchemeSpec:
-    """Build the picklable scheme spec evaluating ``point`` on ``snn``."""
-    options: Dict[str, Any] = {}
+def point_options(point: SweepPoint) -> Dict[str, Any]:
+    """Scheme factory options evaluating ``point`` (on its window's
+    :func:`variant_snn`)."""
     if point.scheme == "rate":
         # rate coding has no spike-time grid; T is its step count
-        options["timesteps"] = point.window
-    return SchemeSpec(point.scheme, variant_snn(snn, point.window), options)
+        return {"timesteps": point.window}
+    return {}
+
+
+def run_chunks(scheme, images: np.ndarray, max_batch: int,
+               cache: Optional[ResultCache] = None,
+               scheme_key: Optional[str] = None,
+               fan_out: bool = False) -> List[Any]:
+    """One ``scheme`` result per ``max_batch`` chunk of ``images``, in
+    chunk order.
+
+    With a ``cache``, a chunk found under ``run_key(scheme_key, chunk)``
+    replays and a missed one runs and is stored.  The missed chunks run
+    one after another, or with ``fan_out`` on the shared thread pool,
+    one round-robin group per thread (:func:`repro.threads.map_groups`,
+    which splits only under a one-thread BLAS).  A pool thread runs each
+    chunk's layers inline, exactly as
+    :class:`~repro.engine.runner.PipelineRunner` runs them, so the
+    results are bitwise the same either way; ``scheme.run`` must be safe
+    to call from several threads at once.
+    """
+    chunks = [images[a:b] for a, b in chunk_bounds(len(images), max_batch)]
+    keys = [run_key(scheme_key, chunk) if cache is not None else None
+            for chunk in chunks]
+    results = [cache.get(key) if cache is not None else None
+               for key in keys]
+    missed = [i for i, result in enumerate(results) if result is None]
+    registry = get_registry()
+    if cache is not None and registry.enabled:
+        for kind, count, what in (
+                ("hits", len(chunks) - len(missed), "chunks not re-simulated"),
+                ("misses", len(missed), "chunks executed")):
+            if count:
+                registry.counter(f"repro_engine_cache_{kind}_total",
+                                 f"Result-cache {kind} ({what})").inc(count)
+
+    def run_group(group) -> List[Tuple[int, Any]]:
+        return [(missed[j], run_recorded(scheme, chunks[missed[j]], registry))
+                for j in group]
+
+    groups = (threads.map_groups(run_group, len(missed)) if fan_out
+              else [run_group(range(len(missed)))])
+    for i, result in itertools.chain.from_iterable(groups):
+        results[i] = result
+        if cache is not None:
+            cache.put(keys[i], result)
+    return results
 
 
 def run_sweep(snn, grid: SweepGrid, images: np.ndarray,
@@ -112,28 +160,35 @@ def run_sweep(snn, grid: SweepGrid, images: np.ndarray,
               workers: int = 1, progress=None) -> Dict[str, Any]:
     """Evaluate every grid point; returns the machine-readable report.
 
-    ``progress`` (optional callable) receives each finished point record
-    for online display.  With a cache, re-running an identical sweep
-    executes zero scheme chunks — every point replays from disk.
+    ``workers`` > 1 runs each point's cache-missed chunks concurrently
+    on the shared thread pool (:func:`run_chunks`); ``repro evaluate
+    --workers N`` first sizes that pool to N threads and BLAS to one.
+    ``progress`` (optional callable) receives each finished point
+    record for online display.  With a cache, re-running an identical
+    sweep executes zero scheme chunks — every point replays from disk.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     images = np.asarray(images)
     if labels is not None:
         labels = np.asarray(labels)
     points: List[Dict[str, Any]] = []
     # Grid order is scheme-major then window then batch, so consecutive
-    # points along the batch axis share a scheme spec: group them under
-    # one runner to pay worker-pool start-up once per (scheme, window).
-    for (_, _), group in itertools.groupby(
+    # points along the batch axis share one scheme (and cache key).
+    for (name, window), group in itertools.groupby(
             grid.points(), key=lambda p: (p.scheme, p.window)):
         group = list(group)
-        spec = spec_for_point(snn, group[0])
-        with ParallelRunner(spec, max_batch=group[0].max_batch,
-                            workers=workers, cache=cache) as runner:
-            for point in group:
-                record = _run_point(runner, point, images, labels, cache)
-                points.append(record)
-                if progress is not None:
-                    progress(record)
+        variant = variant_snn(snn, window)
+        options = point_options(group[0])
+        scheme = create_scheme(name, variant, **options)
+        key = (scheme_digest(name, variant, options)
+               if cache is not None else None)
+        for point in group:
+            record = _run_point(scheme, key, point, images, labels, cache,
+                                workers > 1)
+            points.append(record)
+            if progress is not None:
+                progress(record)
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "grid": grid.describe(),
@@ -148,14 +203,18 @@ def run_sweep(snn, grid: SweepGrid, images: np.ndarray,
     }
 
 
-def _run_point(runner: ParallelRunner, point: SweepPoint,
+def _run_point(scheme, key: Optional[str], point: SweepPoint,
                images: np.ndarray, labels: Optional[np.ndarray],
-               cache: Optional[ResultCache]) -> Dict[str, Any]:
-    runner.max_batch = point.max_batch  # re-chunk; pool stays warm
+               cache: Optional[ResultCache],
+               fan_out: bool) -> Dict[str, Any]:
     hits0 = cache.hits if cache is not None else 0
     misses0 = cache.misses if cache is not None else 0
     t0 = time.perf_counter()
-    result = runner.run(images)
+    results = run_chunks(scheme, images, point.max_batch, cache, key,
+                         fan_out)
+    if not results:
+        raise ValueError("empty image batch")
+    result = results[0] if len(results) == 1 else scheme.merge(results)
     elapsed = time.perf_counter() - t0
     accuracy = None
     if labels is not None:

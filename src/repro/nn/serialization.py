@@ -67,6 +67,9 @@ CONVERTED_FORMAT_VERSION = 1
 #: the file hand out aligned arrays.
 MEMBER_ALIGNMENT = 64
 
+#: Most bytes deflate expands one compressed byte to.
+DEFLATE_MAX_RATIO = 1032
+
 #: Extra-field id of the padding that aligns stored members (the one
 #: Android's zipalign writes); zip readers skip unknown extra fields.
 _ALIGN_EXTRA_ID = 0xD935
@@ -306,6 +309,32 @@ def _read_once(path: Path, mmap_mode: Optional[str]):
     return buf
 
 
+def _read_member(zf: zipfile.ZipFile, info: zipfile.ZipInfo,
+                 size: int) -> np.ndarray:
+    """``np.lib.format.read_array`` of one member of a ``size``-byte
+    file, once its header declares no more data than the member can
+    hold: its stated size, and no more than a stored member's bytes or
+    deflate's expansion of them.  (``read_array`` allocates the whole
+    declared shape before it reads a byte.)"""
+    room = info.file_size
+    if info.compress_type == zipfile.ZIP_STORED:
+        room = min(room, size)
+    elif info.compress_type == zipfile.ZIP_DEFLATED:
+        room = min(room, DEFLATE_MAX_RATIO * min(info.compress_size, size))
+    with zf.open(info) as member:
+        version = np.lib.format.read_magic(member)
+        shape, _, dtype = (np.lib.format.read_array_header_1_0(member)
+                           if version == (1, 0) else
+                           np.lib.format.read_array_header_2_0(member))
+        declared = math.prod(shape) * dtype.itemsize
+        if not dtype.hasobject and member.tell() + declared > room:
+            raise ValueError(
+                f"member {info.filename!r} declares {declared} bytes of "
+                f"data but can hold at most {max(room - member.tell(), 0)}")
+    with zf.open(info) as member:
+        return np.lib.format.read_array(member, allow_pickle=False)
+
+
 def _npz_members(source, path: Path,
                  mmap_mode: Optional[str]) -> Dict[str, np.ndarray]:
     """Every array member of the ``.npz`` whose bytes are ``source``.
@@ -324,9 +353,7 @@ def _npz_members(source, path: Path,
             if layout is not None:
                 layouts[name] = layout
                 continue
-            with zf.open(info) as member:
-                members[name] = np.lib.format.read_array(
-                    member, allow_pickle=False)
+            members[name] = _read_member(zf, info, len(source))
     shared = all(layout[3] % MEMBER_ALIGNMENT == 0
                  for layout in layouts.values())
     for name, layout in layouts.items():

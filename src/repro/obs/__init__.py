@@ -4,9 +4,9 @@ The package's one telemetry layer.  Hot paths record counters, gauges,
 histograms and spans into the process-global registry (or an injected
 one); the serving layer renders it at ``GET /metrics`` (Prometheus text
 format), the CLI dumps it via ``repro metrics``, and the experiment
-driver attaches per-stage span trees to its reports.  Worker processes
-ship picklable snapshot deltas back with their results and the parent
-merges them, so fleet and parallel-runner counts land in one place.
+driver attaches per-stage span trees to its reports.  Serving worker
+processes ship picklable snapshot deltas back with their results and
+the parent merges them, so fleet counts land in one place.
 
 stdlib-only and imported by every other subsystem — nothing here may
 import from the rest of the package.  See ``docs/observability.md``

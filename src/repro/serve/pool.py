@@ -1,12 +1,10 @@
 """Multi-process serving fleet: N inference sessions, one bundle copy.
 
 A single :class:`~repro.serve.session.InferenceSession` is correct but
-caps throughput at one core.  :class:`WorkerPool` scales it out the way
-:class:`~repro.engine.parallel.ParallelRunner` scales the runner: a
+caps throughput at one core.  :class:`WorkerPool` scales it out: a
 picklable :class:`SessionSpec` is shipped to a ``multiprocessing`` pool
-whose initializer (the shared
-:func:`~repro.engine.parallel.init_worker_state` bootstrap) opens one
-session per worker process.  Sessions open their bundle with
+whose initializer (:func:`init_worker_state`) opens one session per
+worker process.  Sessions open their bundle with
 ``mmap_mode="r"``, so the N workers share a single page-cache copy of
 the weights instead of N private loads.
 
@@ -37,9 +35,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..engine.parallel import init_worker_state, worker_ready, worker_state
 from ..errors import ReproError
 from ..obs import get_registry
+from ..threads import set_blas_threads, set_threads
 from .artifact import ModelArtifact
 from .batching import DEFAULT_BATCH_WAIT_S, MicroBatcher
 
@@ -54,8 +52,7 @@ class WorkerPoolError(ReproError):
 class SessionSpec:
     """Picklable recipe for opening an :class:`InferenceSession` anywhere.
 
-    The serving twin of :class:`~repro.engine.parallel.SchemeSpec`: it
-    carries only the bundle *path* plus per-session overrides, so the
+    It carries only the bundle *path* plus per-session overrides, so the
     heavy state (deserialised SNN, compiled plans, warm encoder) is
     built inside each worker process by ``build()`` — never pickled.
     ``mmap`` (default on) maps the bundle's weights read-only so every
@@ -78,6 +75,33 @@ class SessionSpec:
         return InferenceSession(
             self.path, scheme=self.scheme, backend=self.backend,
             max_batch=self.max_batch, warmup=self.warmup, mmap=self.mmap)
+
+
+# This worker process's session, opened once by the pool initializer.
+_WORKER_STATE = None
+
+
+def init_worker_state(spec: SessionSpec) -> None:
+    """Pool initializer: open ``spec``'s session, with the engine's
+    threads and numpy's OpenBLAS pinned to one thread (N processes each
+    splitting across N threads would only contend)."""
+    global _WORKER_STATE
+    set_threads(1)
+    set_blas_threads(1)
+    _WORKER_STATE = spec.build()
+
+
+def worker_state():
+    """The session :func:`init_worker_state` opened in this process."""
+    if _WORKER_STATE is None:
+        raise RuntimeError("no session in this process: the pool needs "
+                           "initializer=init_worker_state")
+    return _WORKER_STATE
+
+
+def worker_ready() -> bool:
+    """Readiness probe: did this worker's initializer succeed?"""
+    return worker_state() is not None
 
 
 def _predict_in_worker(batch):

@@ -20,10 +20,12 @@ suggests ``latest``.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
 import shutil
+import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -76,8 +78,10 @@ class ModelRegistry:
         model_dir = self.root / name
         if not model_dir.is_dir():
             return []
+        # a leading dot marks a publish still staging its copy
         return sorted((entry.name for entry in model_dir.iterdir()
-                       if (entry / MANIFEST_NAME).exists()),
+                       if not entry.name.startswith(".")
+                       and (entry / MANIFEST_NAME).exists()),
                       key=_natural_key)
 
     def aliases(self, name: str) -> Dict[str, str]:
@@ -119,33 +123,52 @@ class ModelRegistry:
 
         ``name`` defaults to the manifest's; ``version`` to the next
         ``v<n>``; ``alias`` (default ``latest``, ``None`` to skip) is
-        pointed at the new version.  A bundle given by path, and the
-        copy, are verified with mapped opens (``mmap_mode="r"``), so
-        publishing holds no private copy of the weights; the registered
-        artifact maps its network.
+        pointed at the new version.  The bundle is copied into a hidden
+        sibling directory, verified there and renamed to the version, so
+        no half-written version is ever visible; a version that already
+        exists, even as an empty directory, or that a concurrent
+        publisher renames into place first, raises :class:`ArtifactError`.
+        A bundle given by path, and the copy, are verified with mapped
+        opens (``mmap_mode="r"``), so publishing holds no private copy
+        of the weights; the registered artifact maps its network.
         """
         if not isinstance(artifact, ModelArtifact):
             artifact = ModelArtifact.load(artifact, mmap_mode="r")
         source = artifact.path
         name = _check_component("model name", name or artifact.name)
         del artifact    # unmaps a source this call opened before the copy
+        model_dir = self.root / name
         if version is None:
-            taken = {v for v in self.versions(name)}
+            taken = set(os.listdir(model_dir)) if model_dir.is_dir() else ()
             n = 1
             while f"v{n}" in taken:
                 n += 1
             version = f"v{n}"
         version = _check_component("version", version)
-        dest = self.root / name / version
-        if (dest / MANIFEST_NAME).exists():
-            raise ArtifactError(
-                f"model {name!r} already has a version {version!r} at "
-                f"{dest}; publish under a new version (versions are "
-                "immutable)")
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copytree(source, dest, dirs_exist_ok=True)
-        # verifies the copy
-        registered = ModelArtifact.load(dest, mmap_mode="r")
+        dest = model_dir / version
+        immutable = (f"model {name!r} already has a version {version!r} at "
+                     f"{dest}; publish under a new version (versions are "
+                     "immutable)")
+        if os.path.lexists(dest):
+            raise ArtifactError(immutable)
+        model_dir.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=f".{version}.",
+                                        suffix=".tmp", dir=model_dir))
+        try:
+            shutil.copytree(source, staging, dirs_exist_ok=True)
+            registered = ModelArtifact.load(staging, mmap_mode="r")
+            try:
+                os.rename(staging, dest)
+            except OSError as exc:
+                # onto a non-empty directory: a concurrent publish won
+                if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+                    raise
+                raise ArtifactError(immutable) from None
+        except BaseException:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
+        # the rename moved every file, and the maps over them, unchanged
+        registered.path = dest
         if alias is not None:
             self.set_alias(name, alias, version)
         return name, version, registered

@@ -8,7 +8,8 @@ spike-time encoding, spike decoding and time-domain max pooling call it,
 and so does the weight quantiser, over C_out slices.
 :func:`map_groups` splits a loop instead: the fixed-point datapath's
 per-spike-time GEMMs, whose integer sums add up the same in any
-grouping, run as one group per thread.  :func:`run_concurrently` runs a
+grouping, and a sweep's independent chunks run as one group per
+thread.  :func:`run_concurrently` runs a
 few unrelated calls side by side: a bundle open hashes the file and
 decodes the weights at once.
 

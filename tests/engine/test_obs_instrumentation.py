@@ -1,13 +1,14 @@
 """Engine telemetry: chunk/layer counters, trace chunk counts, and the
-worker snapshot-delta path of the parallel runner."""
+sweep's chunks recorded from the threads they ran on."""
 
 from __future__ import annotations
 
+from repro import threads
 from repro.engine import (
-    ParallelRunner,
     PipelineRunner,
     ResultCache,
-    SchemeSpec,
+    SweepGrid,
+    run_sweep,
 )
 from repro.engine.executor import LayerTrace
 from repro.engine.runner import merge_traces
@@ -68,23 +69,25 @@ class TestRunnerInstrumentation:
 
     def test_parallel_serial_fallback_records(self, converted_micro,
                                               tiny_dataset):
-        x = tiny_dataset.test_x[:8]
-        spec = SchemeSpec("ttfs-closed-form", converted_micro)
+        # a workers=1 sweep runs its chunks one after another
         with use_registry(MetricsRegistry()) as reg:
-            with ParallelRunner(spec, max_batch=4, workers=1) as runner:
-                runner.run(x)
+            run_sweep(converted_micro, _grid(converted_micro, 4),
+                      tiny_dataset.test_x[:8], workers=1)
         assert reg.value("repro_engine_images_total",
                          scheme="EventDrivenTTFSNetwork") == 8
 
-    def test_worker_deltas_merge_into_parent(self, converted_micro,
-                                             tiny_dataset):
-        x = tiny_dataset.test_x[:8]
-        spec = SchemeSpec("ttfs-closed-form", converted_micro)
-        with use_registry(MetricsRegistry()) as reg:
-            with ParallelRunner(spec, max_batch=2, workers=2) as runner:
-                runner.run(x)
-        # four chunks executed somewhere across the two workers; their
-        # snapshot deltas must sum to the whole batch in the parent
+    def test_fanned_out_chunks_record(self, converted_micro, tiny_dataset,
+                                      monkeypatch):
+        monkeypatch.setattr(threads, "blas_threads", lambda: 1)
+        threads.set_threads(2)
+        try:
+            with use_registry(MetricsRegistry()) as reg:
+                run_sweep(converted_micro, _grid(converted_micro, 2),
+                          tiny_dataset.test_x[:8], workers=2)
+        finally:
+            threads.set_threads(None)
+        # four chunks ran on the pool's threads; each recorded into the
+        # process registry, which must count the whole batch
         assert reg.value("repro_engine_images_total",
                          scheme="EventDrivenTTFSNetwork") == 8
         assert reg.value("repro_engine_chunks_total",
@@ -93,12 +96,16 @@ class TestRunnerInstrumentation:
     def test_cache_hits_and_misses_counted(self, converted_micro,
                                            tiny_dataset, tmp_path):
         x = tiny_dataset.test_x[:8]
-        spec = SchemeSpec("ttfs-closed-form", converted_micro)
         cache = ResultCache(tmp_path)
         with use_registry(MetricsRegistry()) as reg:
-            with ParallelRunner(spec, max_batch=4, workers=1,
-                                cache=cache) as runner:
-                runner.run(x)
-                runner.run(x)
+            for _ in range(2):
+                run_sweep(converted_micro, _grid(converted_micro, 4), x,
+                          cache=cache, workers=1)
         assert reg.value("repro_engine_cache_misses_total") == 2
         assert reg.value("repro_engine_cache_hits_total") == 2
+
+
+def _grid(snn, max_batch):
+    """One ttfs-closed-form point at the network's own window."""
+    return SweepGrid(("ttfs-closed-form",), (snn.config.window,),
+                     (max_batch,))

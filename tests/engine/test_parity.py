@@ -160,44 +160,6 @@ class TestBackendParity:
         runner = PipelineRunner(Plain(), max_batch=2, backend="event")
         assert runner.run(np.zeros((5, 1))) == 5
 
-    def test_parallel_runner_backend_parity(self, converted_micro, images):
-        from repro.engine import ParallelRunner, SchemeSpec
-
-        x, _ = images
-        dense = create_scheme("ttfs-closed-form", converted_micro).run(x)
-        with ParallelRunner(SchemeSpec("ttfs-closed-form", converted_micro),
-                            max_batch=4, workers=1,
-                            backend="event") as runner:
-            event = runner.run(x)
-        assert np.array_equal(dense.predictions(), event.predictions())
-        assert dense.total_spikes == event.total_spikes
-
-    def test_parallel_backend_ignored_by_backend_less_schemes(self,
-                                                              converted_micro):
-        # same tolerance as the serial runner: a factory that takes no
-        # backend kwarg must still build under an explicit backend
-        from repro.engine import ParallelRunner, SchemeSpec, register_scheme
-        from repro.engine.registry import SCHEMES
-
-        class Plain:
-            def __init__(self, snn):
-                self.snn = snn
-
-            def run(self, images):
-                return len(images)
-
-            def merge(self, results):
-                return sum(results)
-
-        register_scheme("test-plain", lambda snn: Plain(snn))
-        try:
-            with ParallelRunner(SchemeSpec("test-plain", converted_micro),
-                                max_batch=2, workers=1,
-                                backend="event") as runner:
-                assert runner.run(np.zeros((5, 1, 1, 1))) == 5
-        finally:
-            SCHEMES.unregister("test-plain")
-
     def test_event_backend_pools_without_dense_trains(self, converted_micro,
                                                       images):
         # the inter-layer state of an event-backend TTFS run really is

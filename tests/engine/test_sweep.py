@@ -10,8 +10,9 @@ from repro.engine import (
     ResultCache,
     SweepGrid,
     SweepPoint,
+    create_scheme,
+    point_options,
     run_sweep,
-    spec_for_point,
     variant_snn,
 )
 from repro.engine.registry import SCHEMES, register_scheme
@@ -104,9 +105,10 @@ class TestGrid:
         assert other.output_scale == converted_micro.output_scale
 
     def test_rate_maps_window_onto_timesteps(self, converted_micro):
-        spec = spec_for_point(converted_micro, SweepPoint("rate", 6, 4))
-        assert spec.options == {"timesteps": 6}
-        scheme = spec.build()
+        options = point_options(SweepPoint("rate", 6, 4))
+        assert options == {"timesteps": 6}
+        assert point_options(SweepPoint("ttfs-early", 6, 4)) == {}
+        scheme = create_scheme("rate", converted_micro, **options)
         assert scheme.timesteps == 6
 
 

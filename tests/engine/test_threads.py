@@ -9,7 +9,6 @@ BLAS runs on one thread, so these tests pretend it does.
 """
 
 import multiprocessing
-import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -23,15 +22,10 @@ from repro import threads
 from repro.cat import Base2Kernel
 from repro.cat.convert import LayerSpec
 from repro.engine import (
-    ParallelRunner,
-    PipelineRunner,
-    SchemeSpec,
     available_schemes,
     create_scheme,
     executor,
-    register_scheme,
 )
-from repro.engine.registry import SCHEMES
 from repro.events import NO_SPIKE
 from repro.snn.spikes import SpikeTrain
 
@@ -266,21 +260,6 @@ class TestSchemesAcrossThreadCounts:
         assert_results_identical(whole, sliced)
 
 
-def _reporting_scheme(snn, **options):
-    """ttfs-closed-form whose results carry the engine's thread count."""
-    scheme = create_scheme("ttfs-closed-form", snn, **options)
-    run = scheme.run
-
-    def reporting_run(images):
-        result = run(images)
-        result.engine_threads = threads.thread_count()
-        result.pid = os.getpid()
-        return result
-
-    scheme.run = reporting_run
-    return scheme
-
-
 def _sliced_sum_in_child(n):
     threads.set_threads(2)
     out = threads.map_images(lambda s: s + 1.0, np.zeros((n, 3)), (n, 3),
@@ -300,27 +279,3 @@ class TestForkSafety:
         with ctx.Pool(1) as pool:
             assert pool.apply_async(_sliced_sum_in_child,
                                     (16,)).get(timeout=60) == 48.0
-
-    def test_parallel_runner_after_a_threaded_batch(self, converted_micro,
-                                                    tiny_dataset):
-        x = tiny_dataset.test_x[:8]
-        serial = PipelineRunner(create_scheme("ttfs-closed-form",
-                                              converted_micro),
-                                max_batch=3).run(x)
-        register_scheme("test-thread-report", _reporting_scheme)
-        try:
-            with pool_threads(2):
-                threaded = create_scheme("test-thread-report",
-                                         converted_micro).run(x)
-                assert threaded.engine_threads == 2
-                with ParallelRunner(SchemeSpec("test-thread-report",
-                                               converted_micro),
-                                    max_batch=3, workers=2,
-                                    start_method="fork") as runner:
-                    chunks = list(runner.stream(x))
-                    merged = runner.scheme.merge(chunks)
-        finally:
-            SCHEMES.unregister("test-thread-report")
-        assert all(c.engine_threads == 1 for c in chunks)
-        assert all(c.pid != os.getpid() for c in chunks)
-        assert_results_identical(serial, merged)

@@ -237,6 +237,61 @@ class TestMalformedNpyHeaders:
         assert "w/0" not in members and "b/0" in members
 
 
+def hostile_npz(path, shape, file_size=None):
+    """A small ``.npz`` whose one deflated member declares float64
+    ``shape`` and holds no data; ``file_size`` overwrites the size the
+    central directory states for it."""
+    import zipfile
+
+    header = (f"{{'descr': '<f8', 'fortran_order': False, "
+              f"'shape': {shape!r}, }}")
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+        zf.writestr("__header__.npy", _npy_bytes(header, b""))
+    if file_size is not None:
+        data = bytearray(path.read_bytes())
+        entry = data.rindex(b"PK\x01\x02")     # the central directory
+        data[entry + 24:entry + 28] = file_size.to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+    return path
+
+
+class TestOversizedMembers:
+    """A member whose header declares more data than the member holds
+    fails as a :class:`SerializationError` before anything is allocated
+    (a bare read would ask for the whole declared shape)."""
+
+    @pytest.mark.parametrize("shape", [(2**40,), (2**32,)],
+                             ids=["2**40", "2**32"])
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    def test_declared_shape_beyond_the_member(self, tmp_path, shape,
+                                              mmap_mode):
+        from repro.nn.serialization import SerializationError
+
+        path = hostile_npz(tmp_path / "snn.npz", shape)
+        assert path.stat().st_size < 256
+        with pytest.raises(SerializationError,
+                           match=r"snn\.npz: .*declares"):
+            load_converted(path, mmap_mode=mmap_mode)
+
+    def test_stated_size_beyond_what_deflate_holds(self, tmp_path):
+        # the central directory claims 2 GiB, which the few compressed
+        # bytes cannot expand to
+        from repro.nn.serialization import SerializationError
+
+        path = hostile_npz(tmp_path / "snn.npz", (2**28,),
+                           file_size=2**31 + 128)
+        with pytest.raises(SerializationError, match="declares"):
+            load_converted(path)
+
+    def test_compressed_bundle_still_loads(self, tmp_path, converted_micro):
+        path = tmp_path / "snn.npz"
+        save_converted(converted_micro, path, compress=True)
+        loaded = load_converted(path)
+        for a, b in zip(converted_micro.layers, loaded.layers):
+            if a.weight is not None:
+                assert np.array_equal(a.weight, b.weight)
+
+
 class TestConvertedMmap:
     def test_uncompressed_bundle_maps_weights(self, tmp_path,
                                               converted_micro):

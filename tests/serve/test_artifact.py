@@ -17,6 +17,8 @@ from repro.serve import (
     ModelArtifact,
 )
 
+from ..nn.test_serialization import hostile_npz
+
 
 class TestSaveLoadRoundtrip:
     def test_manifest_fields(self, micro_bundle):
@@ -160,6 +162,17 @@ class TestIntegrityChecks:
         self._mutate_manifest(artifact.path,
                               lambda m: m["files"].pop("snn.npz"))
         with pytest.raises(ArtifactError, match="no 'snn.npz' digest"):
+            ModelArtifact.load(artifact.path)
+
+    @pytest.mark.parametrize("shape", [(2**40,), (2**32,)],
+                             ids=["2**40", "2**32"])
+    def test_oversized_member_names_the_file(self, tmp_path,
+                                             converted_micro, shape):
+        artifact = ModelArtifact.save(tmp_path / "b", converted_micro,
+                                      name="m", scheme="rate")
+        hostile_npz(artifact.path / "snn.npz", shape)
+        _rerecord_snn_digest(artifact.path)
+        with pytest.raises(ArtifactError, match=r"snn\.npz: .*declares"):
             ModelArtifact.load(artifact.path)
 
     def test_tampered_file_digest(self, tmp_path, converted_micro):

@@ -1,5 +1,8 @@
 """ModelRegistry: publish/resolve/version/alias semantics."""
 
+import os
+import shutil
+
 import pytest
 
 from repro.serve import ArtifactError, ModelArtifact, ModelRegistry
@@ -39,6 +42,70 @@ class TestPublish:
         aliases = registry_no_alias.aliases("micro")
         assert aliases == {"latest": "v1"}    # only the publish() default
         assert registry.resolve("micro:v10").name == "v10"
+
+    @pytest.mark.parametrize("leftover", [None, "partial.bin"])
+    def test_existing_version_directory_is_refused(self, registry,
+                                                   micro_bundle, leftover):
+        # rename() would replace an empty directory, and the old
+        # in-place copy filled a partial one
+        dest = registry.root / "micro" / "v2"
+        dest.mkdir()
+        if leftover:
+            (dest / leftover).write_bytes(b"x")
+        with pytest.raises(ArtifactError, match="versions are immutable"):
+            registry.publish(micro_bundle, name="micro", version="v2")
+        assert [p.name for p in dest.iterdir()] == ([leftover] if leftover
+                                                    else [])
+        assert registry.versions("micro") == ["v1"]
+        assert _entries(registry) == ["aliases.json", "v1", "v2"]
+
+    def test_auto_version_skips_existing_directories(self, registry,
+                                                     micro_bundle):
+        (registry.root / "micro" / "v2").mkdir()
+        _, version, _ = registry.publish(micro_bundle, name="micro")
+        assert version == "v3"
+        assert registry.versions("micro") == ["v1", "v3"]
+
+    def test_losing_concurrent_publisher_leaves_the_winner(
+            self, registry, micro_bundle, monkeypatch):
+        rename = os.rename
+
+        def another_publisher_first(src, dst):
+            # the winner's rename lands between our check and ours
+            shutil.copytree(micro_bundle.path, dst)
+            (dst / "winner").write_text("")
+            return rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", another_publisher_first)
+        with pytest.raises(ArtifactError, match="versions are immutable"):
+            registry.publish(micro_bundle, name="micro", version="v2")
+        monkeypatch.undo()
+        assert (registry.root / "micro" / "v2" / "winner").exists()
+        assert registry.versions("micro") == ["v1", "v2"]
+        assert registry.aliases("micro") == {"latest": "v1"}
+        assert _entries(registry) == ["aliases.json", "v1", "v2"]
+        registry.load("micro:v2")
+
+    def test_failed_verification_leaves_nothing(self, registry,
+                                                micro_bundle, monkeypatch):
+        load = ModelArtifact.load.__func__
+
+        def corrupt_copy(cls, path, **kwargs):
+            if path.name.startswith("."):
+                raise ArtifactError(f"{path}: digest mismatch")
+            return load(cls, path, **kwargs)
+
+        monkeypatch.setattr(ModelArtifact, "load", classmethod(corrupt_copy))
+        with pytest.raises(ArtifactError, match="digest mismatch"):
+            registry.publish(micro_bundle, name="micro", version="v2")
+        assert _entries(registry) == ["aliases.json", "v1"]
+
+    def test_versions_ignore_staging_directories(self, registry,
+                                                 micro_bundle):
+        shutil.copytree(micro_bundle.path,
+                        registry.root / "micro" / ".v2.abc.tmp")
+        assert registry.versions("micro") == ["v1"]
+        assert registry.resolve("micro:latest").name == "v1"
 
     def test_invalid_names_rejected(self, registry, micro_bundle):
         for bad in ("a/b", "a:b", ".hidden"):
@@ -83,3 +150,7 @@ class TestResolve:
         assert entry["versions"] == ["v1"]
         assert entry["aliases"] == {"latest": "v1"}
         assert entry["scheme"] == "ttfs-closed-form"
+
+
+def _entries(registry, name="micro"):
+    return sorted(p.name for p in (registry.root / name).iterdir())

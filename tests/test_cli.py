@@ -238,6 +238,24 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--limit", "-5"]) == 2
         assert "--limit" in capsys.readouterr().err
 
+    def test_workers_pin_threads_and_blas(self, capsys, monkeypatch):
+        # N chunks on N threads, each GEMM on one: N threads each
+        # splitting GEMMs again would oversubscribe the cores
+        from repro import threads
+
+        calls = []
+        monkeypatch.setattr(threads, "set_threads",
+                            lambda n: calls.append(("threads", n)))
+        monkeypatch.setattr(threads, "set_blas_threads",
+                            lambda n: calls.append(("blas", n)))
+        argv = ["evaluate", "--schemes", "ttfs-closed-form", "--windows",
+                "6", "--max-batches", "4", "--epochs", "1", "--limit", "8"]
+        assert main(argv + ["--workers", "1"]) == 0
+        assert calls == []
+        assert main(argv + ["--workers", "3"]) == 0
+        assert calls == [("threads", 3), ("blas", 1)]
+        assert "3 thread(s)" in capsys.readouterr().out
+
     def test_sweep_runs_and_resumes_from_cache(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
         argv = ["evaluate", "--schemes", "ttfs-closed-form",
