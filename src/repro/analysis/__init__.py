@@ -3,10 +3,7 @@
 from . import paper
 from .metrics import (
     ConversionResult,
-    crossover_bits,
-    geometric_speedup,
     latency_timesteps,
-    monotonically_improves,
 )
 from .reporting import (
     ascii_bars,
@@ -19,10 +16,7 @@ from .reporting import (
 __all__ = [
     "paper",
     "ConversionResult",
-    "crossover_bits",
-    "geometric_speedup",
     "latency_timesteps",
-    "monotonically_improves",
     "ascii_bars",
     "format_series",
     "format_sweep_report",

@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -42,22 +39,3 @@ def latency_timesteps(num_weight_layers: int, window: int,
     total = (num_weight_layers + 1) * window
     return total // 2 if early_firing else total
 
-
-def monotonically_improves(values: Sequence[float], tolerance: float = 0.0
-                           ) -> bool:
-    """True if each value is >= the previous (within tolerance)."""
-    arr = np.asarray(values, dtype=np.float64)
-    return bool(np.all(np.diff(arr) >= -tolerance))
-
-
-def crossover_bits(acc_by_bits_a: dict, acc_by_bits_b: dict) -> Optional[int]:
-    """Smallest bit width where quantiser A overtakes quantiser B (Fig. 4)."""
-    for bits in sorted(acc_by_bits_a):
-        if bits in acc_by_bits_b and acc_by_bits_a[bits] > acc_by_bits_b[bits]:
-            return bits
-    return None
-
-
-def geometric_speedup(fps_a: float, fps_b: float) -> float:
-    """fps ratio A/B (>1 means A is faster)."""
-    return fps_a / fps_b

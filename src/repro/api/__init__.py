@@ -9,12 +9,12 @@ a config-driven pipeline:
   tree, loadable from JSON/TOML via :func:`config_from_file`;
 * :mod:`stages`     — the :class:`Stage` protocol, the shared
   :class:`PipelineContext`, the stage registry and the builtin stages
-  (train / convert / quantize / simulate / hardware + the analytic
-  figure stages);
+  (train / convert / quantize / simulate / hardware, restore for a
+  prebuilt bundle, and the analytic figure stages);
 * :mod:`experiment` — the :class:`Experiment` driver with chained-key
   stage caching and the structured :class:`ExperimentReport`;
-* :mod:`presets`    — named configs and the builders behind every
-  legacy CLI subcommand.
+* :mod:`presets`    — named configs (``repro run --preset``) and the
+  builders behind ``repro simulate`` and ``repro evaluate``.
 
 See ``docs/api.md`` for the architecture note and a worked example.
 """
@@ -42,7 +42,6 @@ from .experiment import (
     Experiment,
     ExperimentReport,
     StageRecord,
-    run_experiment,
 )
 from .presets import (
     PRESETS,
@@ -50,12 +49,10 @@ from .presets import (
     available_presets,
     preset_config,
     simulate_config,
-    train_config,
     train_micro_snn,
 )
 from .stages import (
     ConvertStage,
-    ExportStage,
     HardwareStage,
     PipelineContext,
     PipelineError,
@@ -91,16 +88,13 @@ __all__ = [
     "Experiment",
     "ExperimentReport",
     "StageRecord",
-    "run_experiment",
     "PRESETS",
     "artifact_simulate_config",
     "available_presets",
     "preset_config",
     "simulate_config",
-    "train_config",
     "train_micro_snn",
     "ConvertStage",
-    "ExportStage",
     "HardwareStage",
     "PipelineContext",
     "PipelineError",

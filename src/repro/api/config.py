@@ -17,14 +17,14 @@ inverts the loading for report embedding.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..cat.schedule import METHODS
 from ..nn import vgg7, vgg9, vgg_micro
-from ..util import Registry, did_you_mean, unknown_name_message
+from ..util import (Registry, did_you_mean, read_json_object,
+                    unknown_name_message)
 
 #: Model builders a config may name (the train stage builds from here).
 ARCHITECTURES = Registry("architecture")
@@ -215,17 +215,10 @@ class HardwareConfig:
 
 @dataclass(frozen=True)
 class ArtifactConfig:
-    """Where the ``export``/``restore`` stages write/read a model bundle.
-
-    ``path`` is the :class:`~repro.serve.ModelArtifact` bundle directory;
-    ``name`` overrides the manifest's model name (default: the
-    experiment name); ``include_model`` also bundles the trained ANN
-    state dict for later re-derivation.
-    """
+    """The :class:`~repro.serve.ModelArtifact` bundle directory the
+    ``restore`` stage reads (``repro build`` writes bundles)."""
 
     path: str = ""
-    name: str = ""
-    include_model: bool = True
 
 
 @dataclass(frozen=True)
@@ -384,16 +377,9 @@ def _toml_module():
 def config_from_file(path) -> ExperimentConfig:
     """Load a config from a ``.json`` or ``.toml`` file."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     suffix = path.suffix.lower()
     if suffix == ".json":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+        data = read_json_object(path, ConfigError, "config file")
     elif suffix == ".toml":
         toml = _toml_module()
         if toml is None:
@@ -401,9 +387,14 @@ def config_from_file(path) -> ExperimentConfig:
                 "TOML configs need Python >= 3.11 (tomllib) or the "
                 "tomli package; use a JSON config instead")
         try:
-            data = toml.loads(text)
-        except toml.TOMLDecodeError as exc:
-            raise ConfigError(f"{path} is not valid TOML: {exc}") from None
+            data = toml.loads(path.read_bytes().decode("utf-8"))
+        except OSError as exc:
+            raise ConfigError(
+                f"{path}: cannot read config file ({exc})") from None
+        except (UnicodeDecodeError, toml.TOMLDecodeError,
+                RecursionError) as exc:
+            raise ConfigError(f"{path} is not valid TOML "
+                              f"({type(exc).__name__}: {exc})") from None
     else:
         raise ConfigError(
             f"unsupported config extension {path.suffix!r} for {path}; "

@@ -188,10 +188,3 @@ class Experiment:
             self.on_stage_end(record)
         return record
 
-
-def run_experiment(config: ExperimentConfig,
-                   cache: Optional[ResultCache] = None,
-                   context: Optional[PipelineContext] = None,
-                   **hooks) -> ExperimentReport:
-    """Convenience wrapper: build an :class:`Experiment` and run it."""
-    return Experiment(config, cache=cache, **hooks).run(context=context)

@@ -1,16 +1,16 @@
-"""Preset experiment configs and the builders the CLI wrappers use.
+"""Named experiment configs and the builders the CLI commands use.
 
-Every legacy CLI subcommand is now a thin shell over one of these
-builders: it parses its (unchanged) flags, builds an
-:class:`~repro.api.config.ExperimentConfig`, and hands it to the same
-:class:`~repro.api.experiment.Experiment` driver that ``repro run``
-uses.  The builders are public API — tests assert CLI/driver parity by
-calling them directly.
+:data:`PRESETS` holds the configs ``repro run --preset`` / ``repro
+build --preset`` name: ``micro-smoke`` and ``micro-full`` (the micro-VGG
+pipeline) and ``paper-artefacts`` (Fig. 2, Fig. 6, Table 4 and the
+Table 2 latency as analytic stages).  The builders turn ``repro
+simulate``'s flags into an :class:`~repro.api.config.ExperimentConfig`
+for the same :class:`~repro.api.experiment.Experiment` driver ``repro
+run`` uses; tests assert CLI/driver parity by calling them directly.
 
-:func:`train_micro_snn` is the small-model path that used to live in
-``repro.cli._train_micro_snn``: train + convert the micro VGG through
-the train/convert stages (optionally against a stage cache) and return
-the :class:`~repro.cat.convert.ConvertedSNN`.
+:func:`train_micro_snn` trains and converts the micro VGG through the
+train/convert stages (optionally against a stage cache) for ``repro
+evaluate`` and returns the :class:`~repro.cat.convert.ConvertedSNN`.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from typing import Callable, Optional
 
 from ..util import Registry
 from .config import (
-    AnalysisConfig,
     ArtifactConfig,
-    ConvertConfig,
     DatasetConfig,
     ExperimentConfig,
     ModelConfig,
@@ -54,21 +52,6 @@ def micro_pipeline_config(dataset: str = "mini-cifar10", window: int = 8,
         train=micro_train_config(window, tau, epochs),
         simulate=SimulateConfig(scheme=scheme, max_batch=max_batch,
                                 limit=limit, backend=backend),
-    )
-
-
-def train_config(dataset: str, model: str, method: str, window: int,
-                 tau: float, epochs: int, lr: float,
-                 seed: int) -> ExperimentConfig:
-    """``repro train``: CAT demo — train, convert, evaluate both nets."""
-    return ExperimentConfig(
-        name=f"train-{model}-{dataset}",
-        stages=("train", "convert"),
-        dataset=DatasetConfig(name=dataset),
-        model=ModelConfig(arch=model, seed=seed),
-        train=TrainConfig(window=window, tau=tau, method=method,
-                          epochs=epochs, lr=lr, verbose=True),
-        convert=ConvertConfig(evaluate=True),
     )
 
 
@@ -108,52 +91,6 @@ def artifact_simulate_config(artifact_path, dataset: str = "mini-cifar10",
         artifact=ArtifactConfig(path=str(artifact_path)))
 
 
-def artifact_export_defaults(artifact_path, scheme: str = "") -> dict:
-    """``repro export``: resolved parameters for exporting a bundle.
-
-    A manifest-only peek (no weight load): the coding scheme the export
-    will compile — the bundle's recorded scheme unless overridden — plus
-    the settings every target backend records alongside it (see
-    :mod:`repro.targets`).
-    """
-    from ..engine import resolve_scheme_name
-    from ..serve import ModelArtifact
-
-    artifact = ModelArtifact.peek(artifact_path)
-    return {
-        "name": artifact.name,
-        "scheme": resolve_scheme_name(scheme or artifact.scheme),
-        "backend": artifact.backend,
-        "max_batch": artifact.max_batch,
-        "input_shape": artifact.input_shape,
-    }
-
-
-def fig2_config(window: int = 24, tau: float = 4.0) -> ExperimentConfig:
-    """``repro fig2``: the activation-error curves, as a pipeline."""
-    return ExperimentConfig(name="fig2", stages=("fig2",),
-                            analysis=AnalysisConfig(window=window, tau=tau))
-
-
-def fig6_config() -> ExperimentConfig:
-    """``repro fig6``: PE-array design points, as a pipeline."""
-    return ExperimentConfig(name="fig6", stages=("fig6",))
-
-
-def table4_config() -> ExperimentConfig:
-    """``repro table4``: the processor comparison, as a pipeline."""
-    return ExperimentConfig(name="table4", stages=("table4",))
-
-
-def latency_config(layers: int = 16, window: int = 24,
-                   early_firing: bool = False) -> ExperimentConfig:
-    """``repro latency``: the Table 2 latency formula, as a pipeline."""
-    return ExperimentConfig(
-        name="latency", stages=("latency",),
-        analysis=AnalysisConfig(layers=layers, window=window,
-                                early_firing=early_firing))
-
-
 #: Named presets for ``repro run --preset`` (builders so each call gets
 #: a fresh, independently-validated config).
 PRESETS = Registry("preset")
@@ -186,7 +123,7 @@ def train_micro_snn(dataset: str, window: int, tau: float, epochs: int,
                     seed: int, cache=None, preloaded=None,
                     on_stage_start: Optional[Callable] = None,
                     on_stage_end: Optional[Callable] = None):
-    """Train + convert the micro VGG (the CLI's former in-line helper).
+    """Train + convert the micro VGG.
 
     Runs the train and convert stages through the experiment driver —
     so a stage ``cache`` makes repeat invocations (e.g. ``repro

@@ -23,9 +23,11 @@ The five paper-pipeline stages wrap the existing subsystems one-to-one:
               with a measured/simulated firing profile
 ========== ==========================================================
 
+``restore`` loads a prebuilt :class:`~repro.serve.ModelArtifact`
+bundle in place of the build stages (``repro build`` writes bundles).
 Four analytic stages (``fig2``/``fig6``/``table4``/``latency``) expose
-the instant paper artefacts through the same pipeline, which is how the
-legacy CLI subcommands route through one driver.
+the instant paper artefacts through the same pipeline, so ``repro run``
+is their one command.
 
 Stages register by name through :func:`register_stage` into
 :data:`STAGES`, a :class:`repro.util.Registry` like the coding schemes'
@@ -212,8 +214,8 @@ class TrainStage(PipelineStage):
     name = "train"
 
     def cache_key(self, ctx):
-        # verbose is presentation-only: excluded so toggling it (or the
-        # repro train wrapper's verbose default) reuses the same entry
+        # verbose is presentation-only: excluded so toggling it reuses
+        # the same entry
         train_cfg = dataclasses.replace(self.config.train, verbose=False)
         return digest("train", _dataset_digest(ctx.ensure_dataset()),
                       self.config.model, train_cfg)
@@ -479,54 +481,8 @@ class HardwareStage(PipelineStage):
 
 
 # ----------------------------------------------------------------------
-# Build/run boundary stages: emit and consume ModelArtifact bundles
+# Run-time entry: consume a ModelArtifact bundle
 # ----------------------------------------------------------------------
-
-@register_stage("export")
-class ExportStage(PipelineStage):
-    """Write the pipeline's build products as a ModelArtifact bundle.
-
-    Uncached by design: the bundle on disk *is* the persistent output,
-    and rewriting it is cheaper than round-tripping it through the
-    stage cache.
-    """
-
-    name = "export"
-
-    def run(self, ctx):
-        from .config import config_to_dict
-        from ..serve import ModelArtifact
-
-        snn = ctx.require("snn", self.name, "convert")
-        cfg = self.config.artifact
-        if not cfg.path:
-            raise PipelineError(
-                "stage 'export' needs artifact.path set in the config "
-                "(the bundle directory to write)")
-        quantization = None
-        if "quantize" in ctx.metrics:
-            quantization = {"bits": self.config.quantize.bits,
-                            "z_w": self.config.quantize.z_w}
-        input_shape = (tuple(ctx.dataset.image_shape)
-                       if ctx.dataset is not None else None)
-        artifact = ModelArtifact.save(
-            cfg.path, snn, name=cfg.name or self.config.name,
-            scheme=self.config.simulate.scheme,
-            backend=self.config.simulate.backend,
-            max_batch=self.config.simulate.max_batch,
-            quantization=quantization, input_shape=input_shape,
-            config=config_to_dict(self.config),
-            metrics={k: v for k, v in ctx.metrics.items()},
-            model=ctx.model if cfg.include_model else None,
-            overwrite=True)
-        ctx.artifacts["model_artifact"] = artifact
-        ctx.metrics["export"] = {
-            "path": str(artifact.path),
-            "schema_version": artifact.manifest["schema_version"],
-            "files": sorted(artifact.manifest["files"]),
-        }
-        return ctx
-
 
 @register_stage("restore")
 class RestoreStage(PipelineStage):
@@ -579,11 +535,17 @@ class Fig2Stage(PipelineStage):
         cfg = self.config.analysis
         curves = activation_curves(window=cfg.window, tau=cfg.tau)
         ctx.artifacts["fig2_curves"] = curves
+        # the figure's curves at 13 evenly spaced inputs
+        idx = np.linspace(0, len(curves.inputs) - 1, 13).astype(int)
+        curve = {"x": np.round(curves.inputs[idx], 3).tolist()}
+        curve.update({k: np.round(curves.errors[k][idx], 4).tolist()
+                      for k in ("relu", "clip", "ttfs")})
         ctx.metrics["fig2"] = {
             "window": cfg.window,
             "tau": cfg.tau,
             "max_error": {k: float(curves.max_error(k))
                           for k in ("ttfs", "clip", "relu")},
+            "curve": curve,
         }
         return ctx
 
@@ -604,6 +566,8 @@ class Fig6Stage(PipelineStage):
             "power_saving_cat": float(result.power_saving_cat),
             "area_saving_log": float(result.area_saving_log),
             "power_saving_log": float(result.power_saving_log),
+            # the figure's bars, normalised to the baseline PE array
+            "normalised": result.normalized_series(),
         }
         return ctx
 

@@ -1,6 +1,6 @@
 """Conversion-aware training (CAT) — the paper's primary contribution."""
 
-from .kernels import NO_SPIKE, Base2Kernel, ExpKernel, equivalent_base2_tau
+from .kernels import NO_SPIKE, Base2Kernel, ExpKernel
 from .activations import (
     ClipActivation,
     ReLUActivation,
@@ -26,7 +26,6 @@ __all__ = [
     "NO_SPIKE",
     "Base2Kernel",
     "ExpKernel",
-    "equivalent_base2_tau",
     "ClipActivation",
     "ReLUActivation",
     "TTFSActivation",

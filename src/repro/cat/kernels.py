@@ -263,12 +263,3 @@ class ExpKernel:
     @property
     def is_shift_compatible(self) -> bool:
         return False  # base-e spike times never satisfy Eq. 16
-
-
-def equivalent_base2_tau(exp_tau: float) -> float:
-    """tau' such that 2**(-t/tau') == exp(-t/tau) (exponential identity).
-
-    The paper notes kappa is "almost identical" to eps when the base is
-    converted: exp(-t/tau) = 2**(-t * log2(e) / tau), so tau' = tau / log2(e).
-    """
-    return exp_tau / math.log2(math.e)

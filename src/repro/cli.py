@@ -1,41 +1,44 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Fast, self-contained entry points into the reproduction:
+One entry point per job:
 
-* ``info``   — inventory of subsystems, coding schemes, pipeline stages;
-* ``run``    — execute a declarative experiment config (JSON/TOML or a
-  named preset) through the ``repro.api`` pipeline driver;
-* ``fig2``   — activation/representation-error curves (exact, instant);
-* ``fig6``   — PE-array area/power design points (analytic, instant);
-* ``table4`` — processor comparison on exact VGG-16 geometry (instant);
-* ``train``  — run a small CAT training + conversion demo (~1 min);
-* ``latency``— TTFS pipeline latency calculator (Table 2 formula);
+* ``info``    — inventory of subsystems, coding schemes, pipeline
+  stages, export targets and presets;
+* ``run``     — execute a declarative experiment config (JSON/TOML or a
+  named preset) through the ``repro.api`` pipeline driver and print
+  every metric its stages record.  The paper artefacts are stages:
+  ``repro run --preset paper-artefacts`` prints Fig. 2's error curves,
+  Fig. 6's PE savings, Table 4's processor comparison and Table 2's
+  latency; a config sets ``analysis.window``/``tau``/``layers``/
+  ``early_firing``, and ``stages = ["train", "convert"]`` with
+  ``convert.evaluate = true`` is the CAT train-and-convert demo;
 * ``simulate``— run a coding scheme with the batched engine runner,
   either after a fresh micro-training or straight from a prebuilt
   ``--artifact`` bundle (no training at all);
 * ``evaluate``— sweep scheme x max-timestep x batch grids, cache-missed
   chunks fanned over ``--workers`` threads and cached results replayed,
   and emit a JSON report;
-* ``build``  — run a config's build stages (train/convert/quantize) and
+* ``build``   — run a config's build stages (train/convert/quantize) and
   write a versioned :class:`repro.serve.ModelArtifact` bundle, or
   publish it into a model registry;
-* ``serve``  — stdlib prediction server over a model registry (JSON,
+* ``serve``   — stdlib prediction server over a model registry (JSON,
   micro-batched, one warm session per model);
-* ``predict``— client for ``serve``: send dataset images, print (and
+* ``predict`` — client for ``serve``: send dataset images, print (and
   optionally save) the predictions and the per-request cost metrics;
-* ``export`` — compile an artifact bundle into a self-contained target
-  description (``engine`` | ``pynn-netlist`` | ``tile-config``), verify
-  it loads back, and optionally execute it over a dataset;
-* ``metrics``— scrape a running server's ``GET /metrics`` and print the
-  telemetry as JSON (or the raw Prometheus text with ``--text``).
+* ``export``  — compile an artifact bundle into a self-contained target
+  description (``pynn-netlist`` | ``tile-config``), verify it loads
+  back, and optionally execute it over a dataset;
+* ``metrics`` — scrape a running server's ``GET /metrics`` and print the
+  telemetry as JSON (or the raw Prometheus text with ``--text``);
+* ``shards``  — write a named dataset as a streamable shard directory,
+  or describe and verify one.
 
-Every subcommand is a thin wrapper: it builds an
-:class:`repro.api.ExperimentConfig` (see :mod:`repro.api.presets`) and
-hands it to the same :class:`repro.api.Experiment` driver that ``repro
-run`` exposes directly — or, for the serving commands, to the
-``repro.serve`` run-time layer — so the CLI contains presentation
-logic only.  Parser construction is one ``_add_<cmd>_parser`` helper
-per command, all chained by :func:`build_parser`.
+The experiment commands build an :class:`repro.api.ExperimentConfig`
+and hand it to the :class:`repro.api.Experiment` driver; the serving
+commands call the ``repro.serve`` run-time layer.  The CLI holds
+presentation logic only.  Parser construction is one
+``_add_<cmd>_parser`` helper per command, all chained by
+:func:`build_parser`.
 
 The full table/figure regeneration lives in ``benchmarks/`` (pytest).
 """
@@ -109,8 +112,28 @@ def _load_cli_config(args, command: str):
         return None
 
 
+def _flatten_metrics(value, prefix: str = ""):
+    """``(dotted key, scalar)`` pairs of a metrics tree, in order.
+
+    Dict keys and list indices both become dotted components, so
+    Table 4's rows print as ``rows.0.workload=cifar10, ...``.
+    """
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return [(prefix, value)]
+    pairs = []
+    for key, item in items:
+        pairs += _flatten_metrics(item, f"{prefix}.{key}" if prefix
+                                  else str(key))
+    return pairs
+
+
 def _cmd_run(args) -> int:
     import dataclasses
+    import itertools
     import json
     import pathlib
 
@@ -149,111 +172,22 @@ def _cmd_run(args) -> int:
         return 2
     print()
     for stage_name, values in report.metrics.items():
-        parts = []
-        for key, value in values.items():
-            if isinstance(value, float):
-                parts.append(f"{key}={value:.4g}")
-            elif isinstance(value, (int, str, bool)):
-                parts.append(f"{key}={value}")
-        if parts:
-            print(f"{stage_name:<10s}: {', '.join(parts)}")
+        # one line per group of sibling keys: a stage's scalars, then
+        # e.g. each Table 4 row
+        label = f"{stage_name:<10s}:"
+        pairs = _flatten_metrics(values)
+        for _, group in itertools.groupby(
+                pairs, key=lambda pair: pair[0].rpartition(".")[0]):
+            print(f"{label} " + ", ".join(
+                f"{key}={value:.6g}" if isinstance(value, float)
+                else f"{key}={value}" for key, value in group))
+            label = " " * len(label)
     print(f"\ntotal {report.total_elapsed_s:.2f}s, "
           f"{report.cache_hits}/{len(report.stages)} stage(s) from cache")
     if args.report:
         path = pathlib.Path(args.report)
         path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
         print(f"report written to {path}")
-    return 0
-
-
-def _cmd_fig2(args) -> int:
-    from .analysis import format_series
-    from .api.presets import fig2_config
-
-    report = _run_config(fig2_config(window=args.window, tau=args.tau))
-    curves = report.context.artifacts["fig2_curves"]
-    idx = np.linspace(0, len(curves.inputs) - 1, 13).astype(int)
-    print(format_series(
-        np.round(curves.inputs[idx], 3),
-        {k: np.round(v[idx], 4) for k, v in curves.errors.items()},
-        title=f"representation error vs SNN coding "
-              f"(T={args.window}, tau={args.tau:g})",
-        x_label="x"))
-    errors = report.metrics["fig2"]["max_error"]
-    print(f"\nmax error: ttfs={errors['ttfs']:.4f} "
-          f"clip={errors['clip']:.4f} "
-          f"relu={errors['relu']:.4f}")
-    return 0
-
-
-def _cmd_fig6(args) -> int:
-    from .analysis import ascii_bars
-    from .api.presets import fig6_config
-
-    report = _run_config(fig6_config())
-    result = report.context.artifacts["fig6_result"]
-    series = result.normalized_series()
-    print(ascii_bars(series["area"], title="PE-array area (normalised)"))
-    print()
-    print(ascii_bars(series["power"], title="PE-array power (normalised)"))
-    savings = report.metrics["fig6"]
-    print(f"\nstep I : -{100 * savings['area_saving_cat']:.1f}% area, "
-          f"-{100 * savings['power_saving_cat']:.1f}% power "
-          "(paper: -12.7% / -14.7%)")
-    print(f"step II: -{100 * savings['area_saving_log']:.1f}% area, "
-          f"-{100 * savings['power_saving_log']:.1f}% power "
-          "(paper: -8.1% / -8.6%)")
-    return 0
-
-
-def _cmd_table4(args) -> int:
-    from .analysis import format_table
-    from .api.presets import table4_config
-
-    report = _run_config(table4_config())
-    table = report.metrics["table4"]
-    rows = [[r["workload"], r["snn_fps"], r["snn_uj_per_image"],
-             r["tpu_fps"], r["tpu_uj_per_image"]] for r in table["rows"]]
-    print(format_table(
-        ["workload", "SNN fps", "SNN uJ/img", "TPU fps", "TPU uJ/img"],
-        rows, title=f"VGG-16 inference — chip area {table['area_mm2']:.4f} "
-                    "mm2 (paper 0.9102)"))
-    return 0
-
-
-def _cmd_latency(args) -> int:
-    from .api.presets import latency_config
-
-    report = _run_config(latency_config(layers=args.layers,
-                                        window=args.window,
-                                        early_firing=args.early_firing))
-    lat = report.metrics["latency"]["timesteps"]
-    mode = "early firing" if args.early_firing else "full window"
-    print(f"{args.layers} weight layers x T={args.window} ({mode}): "
-          f"{lat} timesteps")
-    return 0
-
-
-def _cmd_train(args) -> int:
-    from .api import ConfigError
-    from .api.presets import train_config
-
-    try:
-        config = train_config(dataset=args.dataset, model=args.model,
-                              method=args.method, window=args.window,
-                              tau=args.tau, epochs=args.epochs, lr=args.lr,
-                              seed=args.seed)
-    except ConfigError as exc:
-        print(f"repro train: error: {exc}", file=sys.stderr)
-        return 2
-    print(f"training {args.model} on {args.dataset} with method "
-          f"{args.method}, T={args.window}, tau={args.tau:g}")
-    report = _run_config(config)
-    metrics = report.metrics["convert"]
-    ann, acc = metrics["ann_accuracy"], metrics["snn_accuracy"]
-    print(f"\nANN {ann:.3f} -> SNN {acc:.3f} "
-          f"(loss {100 * (acc - ann):+.2f} pp), "
-          f"latency {metrics['latency_timesteps']} timesteps")
     return 0
 
 
@@ -774,46 +708,6 @@ def _add_run_parser(sub) -> None:
     p.set_defaults(fn=_cmd_run)
 
 
-def _add_fig2_parser(sub) -> None:
-    p = sub.add_parser("fig2", help="activation error curves")
-    p.add_argument("--window", type=int, default=24)
-    p.add_argument("--tau", type=float, default=4.0)
-    p.set_defaults(fn=_cmd_fig2)
-
-
-def _add_fig6_parser(sub) -> None:
-    sub.add_parser("fig6", help="PE-array savings").set_defaults(
-        fn=_cmd_fig6)
-
-
-def _add_table4_parser(sub) -> None:
-    sub.add_parser("table4", help="processor comparison").set_defaults(
-        fn=_cmd_table4)
-
-
-def _add_latency_parser(sub) -> None:
-    p = sub.add_parser("latency", help="TTFS pipeline latency")
-    p.add_argument("--layers", type=int, default=16)
-    p.add_argument("--window", type=int, default=24)
-    p.add_argument("--early-firing", action="store_true")
-    p.set_defaults(fn=_cmd_latency)
-
-
-def _add_train_parser(sub) -> None:
-    p = sub.add_parser("train", help="CAT training demo")
-    p.add_argument("--dataset", default="mini-cifar10",
-                   help="named dataset (see repro.data.available())")
-    p.add_argument("--model", choices=("vgg7", "vgg9"), default="vgg7")
-    p.add_argument("--method", choices=("I", "I+II", "I+II+III"),
-                   default="I+II+III")
-    p.add_argument("--window", type=int, default=12)
-    p.add_argument("--tau", type=float, default=2.0)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_train)
-
-
 def _add_simulate_parser(sub) -> None:
     p = sub.add_parser("simulate",
                        help="run a coding scheme via the batched engine")
@@ -1030,13 +924,10 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for add_subparser in (_add_info_parser, _add_run_parser,
-                          _add_fig2_parser, _add_fig6_parser,
-                          _add_table4_parser, _add_latency_parser,
-                          _add_train_parser, _add_simulate_parser,
-                          _add_evaluate_parser, _add_build_parser,
-                          _add_serve_parser, _add_predict_parser,
-                          _add_export_parser, _add_metrics_parser,
-                          _add_shards_parser):
+                          _add_simulate_parser, _add_evaluate_parser,
+                          _add_build_parser, _add_serve_parser,
+                          _add_predict_parser, _add_export_parser,
+                          _add_metrics_parser, _add_shards_parser):
         add_subparser(sub)
     return parser
 

@@ -40,6 +40,7 @@ import numpy as np
 
 from ..errors import ReproError
 from ..nn.serialization import mmap_npz_members
+from ..util import read_json_object
 
 PathLike = Union[str, Path]
 
@@ -370,16 +371,12 @@ def open_shards(path: PathLike) -> ShardedDataset:
     path = Path(path)
     manifest_path = path / MANIFEST_NAME if path.is_dir() else path
     root = manifest_path.parent
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except FileNotFoundError:
+    if not manifest_path.is_file():
         raise ShardError(
             f"{manifest_path} not found — not a shard directory (write "
-            f"one with write_shards / repro shards)") from None
-    except json.JSONDecodeError as exc:
-        raise ShardError(
-            f"{manifest_path} is not valid JSON ({exc}); the manifest is "
-            f"corrupt — re-run write_shards") from None
+            f"one with write_shards / repro shards)")
+    manifest = read_json_object(manifest_path, ShardError,
+                                "shard manifest (re-run write_shards)")
     version = manifest.get("format_version")
     if version != SHARD_FORMAT_VERSION:
         raise ShardError(

@@ -304,12 +304,6 @@ class EventStream:
         return EventStream(self.times[start:stop], self.indices[start:stop],
                            self.shape, self.window)
 
-    def select_time(self, lo: int, hi: int) -> "EventStream":
-        """Events with ``lo <= time <= hi`` (a ``searchsorted``)."""
-        a = int(np.searchsorted(self.times, lo, side="left"))
-        b = int(np.searchsorted(self.times, hi, side="right"))
-        return self.slice_events(a, b)
-
     def time_groups(self) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(t, start, stop)`` spans of equal-time events, in order.
 
@@ -324,15 +318,6 @@ class EventStream:
         for t, a, b in zip(ts.tolist(), bounds[:-1].tolist(),
                            bounds[1:].tolist()):
             yield t, a, b
-
-    def batch_slice(self, start: int, stop: int) -> "EventStream":
-        """Events of samples ``[start, stop)`` (leading axis = batch)."""
-        per = self.num_neurons // max(self.shape[0], 1)
-        sample = self.indices // per
-        keep = (sample >= start) & (sample < stop)
-        return EventStream(self.times[keep],
-                           self.indices[keep] - start * per,
-                           (stop - start,) + self.shape[1:], self.window)
 
     def with_offset(self, offset: int, shape) -> "EventStream":
         """Translate flat indices by ``offset`` into a larger shape.

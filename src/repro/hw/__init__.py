@@ -8,8 +8,6 @@ from .config import (
 )
 from .pe import (
     DecoderCost,
-    LinearPE,
-    LogPE,
     PECost,
     decoder_cost,
     linear_pe_cost,
@@ -55,8 +53,6 @@ __all__ = [
     "cat_only_config",
     "proposed_config",
     "DecoderCost",
-    "LinearPE",
-    "LogPE",
     "PECost",
     "decoder_cost",
     "linear_pe_cost",

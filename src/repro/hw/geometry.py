@@ -52,10 +52,6 @@ class NetworkGeometry:
         return sum(l.macs for l in self.layers)
 
     @property
-    def total_neurons(self) -> int:
-        return sum(l.out_neurons for l in self.layers)
-
-    @property
     def num_weight_layers(self) -> int:
         return len(self.layers)
 

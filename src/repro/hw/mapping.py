@@ -40,11 +40,6 @@ class LayerMapping:
     passes: int  # fetch passes per tile (1 = working set resident)
     buffer_utilization: float  # tile working set / buffer capacity
 
-    @property
-    def refill_factor(self) -> float:
-        """Multiplier on the layer's weight traffic (1.0 = no refills)."""
-        return float(self.passes)
-
 
 @dataclass
 class MappingReport:

@@ -7,70 +7,18 @@ multiplier on the decoded value; the proposed *log* PE exploits that both
 operands are powers of two (Sec. 3.2) and reduces the multiply to an
 integer add in the log domain followed by LUT + shift (Eq. 17).
 
-Both a functional fixed-point datapath (used in unit tests against float
-references) and area/energy cost breakdowns (used by the Fig. 6 and
-Table 4 models) are provided.
+This module holds their area/energy cost breakdowns (used by the Fig. 6
+and Table 4 models); the log PE's functional datapath is
+:class:`repro.quant.lut.LogDomainPE`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
-import numpy as np
-
-from ..quant.lut import LogDomainPE
 from .config import HwConfig
 from . import energy as en
-
-
-# ----------------------------------------------------------------------
-# Functional models
-# ----------------------------------------------------------------------
-
-@dataclass
-class LinearPE:
-    """Baseline PE: fixed-point multiply of decoded kernel value x weight."""
-
-    kernel_value_bits: int = 10
-    weight_bits: int = 8
-    vmem_bits: int = 20
-
-    def process(self, kernel_values: np.ndarray, weights: np.ndarray
-                ) -> np.ndarray:
-        """PSP contributions for decoded values and (linear) weights.
-
-        Operands are quantised to their datapath widths before the
-        multiply, mirroring the RTL.
-        """
-        kv = np.round(np.asarray(kernel_values) * (1 << (self.kernel_value_bits - 1)))
-        kv = np.clip(kv, 0, (1 << (self.kernel_value_bits - 1)))
-        w_scale = 1 << (self.weight_bits - 2)
-        wq = np.clip(np.round(np.asarray(weights) * w_scale),
-                     -(1 << (self.weight_bits - 1)),
-                     (1 << (self.weight_bits - 1)) - 1)
-        prod = kv * wq
-        return prod / ((1 << (self.kernel_value_bits - 1)) * w_scale)
-
-
-@dataclass
-class LogPE:
-    """Proposed PE: log-domain add + LUT + shift (Eq. 17)."""
-
-    frac_bits: int = 2
-    precision_bits: int = 16
-    datapath: LogDomainPE = field(init=False)
-
-    def __post_init__(self):
-        self.datapath = LogDomainPE(frac_bits=self.frac_bits,
-                                    precision_bits=self.precision_bits)
-
-    def process(self, x_log2: np.ndarray, w_log2: np.ndarray,
-                w_sign: np.ndarray) -> np.ndarray:
-        """PSP contributions from log2-domain operands."""
-        xc = self.datapath.encode_log2(x_log2)
-        wc = self.datapath.encode_log2(w_log2)
-        return self.datapath.to_float(self.datapath.multiply(xc, wc, w_sign))
 
 
 # ----------------------------------------------------------------------

@@ -537,12 +537,6 @@ class TiledRunReport:
     def total_cycles(self) -> int:
         return sum(t.cycles for t in self.tiles)
 
-    def cycles_by_layer(self) -> dict:
-        out: dict = {}
-        for t in self.tiles:
-            out[t.layer] = out.get(t.layer, 0) + t.cycles
-        return out
-
 
 class TiledCycleModel(SpikeTrainScheme):
     """Execute a converted network tile-by-tile with the real encoder FSM.

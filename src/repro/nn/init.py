@@ -1,4 +1,4 @@
-"""Weight initialization schemes (He / Xavier), seeded for reproducibility."""
+"""Weight initialization (He-normal), seeded for reproducibility."""
 
 from __future__ import annotations
 
@@ -17,11 +17,6 @@ def kaiming_normal(shape, fan_in: int) -> np.ndarray:
     """He-normal init, suited to ReLU-family activations (paper trains VGG)."""
     std = np.sqrt(2.0 / fan_in)
     return (_rng.standard_normal(shape) * std).astype(np.float32)
-
-
-def xavier_uniform(shape, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return _rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
 def zeros(shape) -> np.ndarray:

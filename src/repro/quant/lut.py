@@ -106,17 +106,6 @@ class LogDomainPE:
         """Convert accumulator fixed-point back to float."""
         return np.asarray(fixed, dtype=np.float64) / (1 << self.precision_bits)
 
-    # ------------------------------------------------------------------
-    def reference_multiply(self, x_log2: np.ndarray, w_log2: np.ndarray,
-                           w_sign: np.ndarray) -> np.ndarray:
-        """Float reference for the same quantised operands."""
-        return np.asarray(w_sign) * np.power(2.0, np.asarray(x_log2)
-                                             + np.asarray(w_log2))
-
-    def worst_case_relative_error(self) -> float:
-        """Upper bound on LUT rounding error (half an LSB of the table)."""
-        return 0.5 / (1 << self.precision_bits) * 2.0
-
 
 def required_frac_bits(tau: float, z_w: int) -> int:
     """Fractional log2 bits needed for (tau, z_w) per Eqs. 16+18.

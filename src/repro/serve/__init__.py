@@ -9,8 +9,8 @@ sparse TTFS inference path runs forever after — lives here:
   ``build(config, path)`` drives the existing ``repro.api`` stages,
   ``load(path)`` integrity-checks before anything simulates;
 * :mod:`session`  — :class:`InferenceSession`, the stateful run-time
-  handle: open an artifact once, ``predict``/``predict_stream`` many
-  times, never re-convert or re-quantise;
+  handle: open an artifact once, ``predict`` many times, never
+  re-convert or re-quantise;
 * :mod:`registry` — :class:`ModelRegistry`, named + versioned bundles
   with alias resolution (``"vgg-t2fsnn:latest"``) and closest-match
   suggestions covering names *and* aliases;

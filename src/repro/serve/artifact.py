@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Union
 
 from ..errors import ReproError
+from ..util import read_json_object
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -309,9 +310,12 @@ class ModelArtifact:
 
     @classmethod
     def build(cls, config, path: PathLike, cache=None, context=None,
-              include_model: bool = True, overwrite: bool = False,
-              on_stage_start=None, on_stage_end=None) -> "ModelArtifact":
+              overwrite: bool = False, on_stage_start=None,
+              on_stage_end=None) -> "ModelArtifact":
         """Run the config's build stages and bundle the result at ``path``.
+
+        The bundle carries the trained ANN's state dict too
+        (``model.npz``) when the build ran the train stage.
 
         The config's stage list is filtered to the build-time subset
         (:data:`BUILD_STAGES`); run-time stages (simulate/hardware/...)
@@ -345,7 +349,7 @@ class ModelArtifact:
             max_batch=config.simulate.max_batch, quantization=quantization,
             input_shape=input_shape, config=config_to_dict(config),
             metrics=report.metrics,
-            model=ctx.model if include_model else None, overwrite=overwrite)
+            model=ctx.model, overwrite=overwrite)
 
     # -- reading -------------------------------------------------------
     @classmethod
@@ -402,17 +406,7 @@ class ModelArtifact:
             raise ArtifactError(
                 f"{path}: no {MANIFEST_NAME} — not a ModelArtifact bundle "
                 "(build one with ModelArtifact.build or 'repro build')")
-        try:
-            manifest = json.loads(manifest_path.read_bytes().decode())
-        except (UnicodeDecodeError, json.JSONDecodeError,
-                RecursionError) as exc:
-            raise ArtifactError(
-                f"{manifest_path}: corrupted manifest "
-                f"({type(exc).__name__}: {exc})") from None
-        if not isinstance(manifest, dict):
-            raise ArtifactError(
-                f"{manifest_path}: corrupted manifest (expected an object, "
-                f"got {type(manifest).__name__})")
+        manifest = read_json_object(manifest_path, ArtifactError, "manifest")
         found = manifest.get("schema_version")
         if found not in SUPPORTED_SCHEMA_VERSIONS:
             supported = "/".join(str(v) for v in SUPPORTED_SCHEMA_VERSIONS)

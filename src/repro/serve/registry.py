@@ -29,7 +29,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..util import unknown_name_message
+from ..util import read_json_object, unknown_name_message
 from .artifact import MANIFEST_NAME, ArtifactError, ModelArtifact
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -89,12 +89,7 @@ class ModelRegistry:
         alias_path = self.root / name / ALIAS_FILE
         if not alias_path.exists():
             return {}
-        try:
-            aliases = json.loads(alias_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(
-                f"{alias_path}: corrupted alias table ({exc})") from None
-        return dict(aliases)
+        return read_json_object(alias_path, ArtifactError, "alias table")
 
     def entries(self) -> List[Dict[str, Any]]:
         """JSON-able listing of every model (the server's /models)."""

@@ -3,22 +3,18 @@
 An :class:`InferenceSession` is the stateful handle the serving side
 holds: it opens an artifact **once** — converted SNN deserialised,
 coding scheme resolved through the engine registry, runner constructed,
-encoder state pre-warmed — and then answers ``predict``/
-``predict_stream`` calls forever after without ever touching the
-build-time machinery (no training, no conversion, no quantisation; the
-tests pin this with counting stubs).
-
-``predict_stream`` micro-batches: single images drawn from the iterable
-are coalesced up to ``max_batch`` before each dispatch to the
-:class:`~repro.engine.runner.PipelineRunner`, so a stream of individual
-requests still gets batched simulator throughput.
+encoder state pre-warmed — and then answers ``predict`` calls forever
+after without ever touching the build-time machinery (no training, no
+conversion, no quantisation; the tests pin this with counting stubs).
+Coalescing single requests into batches is the server's job
+(:mod:`repro.serve.batching`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -32,9 +28,7 @@ from .artifact import ModelArtifact
 class Prediction:
     """One dispatch's worth of predictions plus its cost metrics.
 
-    ``total_spikes``/``total_sops`` are the *dispatched batch* totals —
-    for per-item results yielded by ``predict_stream`` they describe the
-    micro-batch the item rode in, not the single image.
+    ``total_spikes``/``total_sops`` are the *dispatched batch* totals.
     """
 
     predictions: np.ndarray   # (N,) predicted class ids
@@ -173,34 +167,6 @@ class InferenceSession:
             scheme=self.scheme_name, backend=self.backend,
             total_spikes=None if spikes is None else int(spikes),
             total_sops=None if sops is None else int(sops))
-
-    def predict_stream(self, images: Iterable[Any]
-                       ) -> Iterator[Prediction]:
-        """Yield one per-image :class:`Prediction` for an image stream.
-
-        Images are coalesced into micro-batches of up to ``max_batch``
-        before dispatch; each yielded item carries its own class id and
-        the metrics of the batch it was served in.
-        """
-        buffer = []
-        for image in images:
-            buffer.append(np.asarray(image))
-            if len(buffer) >= self.max_batch:
-                yield from self._flush(buffer)
-                buffer = []
-        if buffer:
-            yield from self._flush(buffer)
-
-    def _flush(self, buffer) -> Iterator[Prediction]:
-        batch_result = self.predict(np.stack(buffer))
-        for i in range(len(buffer)):
-            yield Prediction(
-                predictions=batch_result.predictions[i:i + 1],
-                batch_size=batch_result.batch_size,
-                latency_s=batch_result.latency_s,
-                scheme=batch_result.scheme, backend=batch_result.backend,
-                total_spikes=batch_result.total_spikes,
-                total_sops=batch_result.total_sops)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

@@ -17,7 +17,6 @@ from .analysis import (
     compare_trains,
     pipeline_diagram,
     simulation_stats,
-    spike_time_histogram,
     train_stats,
 )
 
@@ -43,6 +42,5 @@ __all__ = [
     "compare_trains",
     "pipeline_diagram",
     "simulation_stats",
-    "spike_time_histogram",
     "train_stats",
 ]

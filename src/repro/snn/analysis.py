@@ -87,11 +87,6 @@ def ascii_raster(train: SpikeTrain, max_neurons: int = 32,
     return "\n".join(lines)
 
 
-def spike_time_histogram(train: SpikeTrain) -> np.ndarray:
-    """Spikes per timestep (delegates to the train, kept for discovery)."""
-    return train.spikes_per_timestep()
-
-
 def pipeline_diagram(num_stages: int, window: int,
                      stage_names: Sequence[str] | None = None,
                      early_firing: bool = False) -> str:

@@ -13,7 +13,8 @@ export/
   target.json    format version, target + scheme names, repro version,
                  source-artifact provenance, backend settings, and a
                  content digest per payload file
-  ...            backend payload (netlist.json, snn.npz, tile_config.json)
+  ...            backend payload (netlist.json, or tile_config.json +
+                 snn.npz)
 ```
 
 ``target.json`` is written canonically (sorted keys, no timestamps), so
@@ -38,7 +39,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import ReproError
-from ..util import Registry
+from ..util import Registry, read_json_object
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -102,15 +103,8 @@ def load_target_manifest(path: PathLike,
         raise TargetError(
             f"{path}: no {TARGET_MANIFEST_NAME} — not a target export "
             "(write one with 'repro export' or TargetBackend.export)")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise TargetError(
-            f"{manifest_path}: corrupted target manifest ({exc})") from None
-    if not isinstance(manifest, dict):
-        raise TargetError(
-            f"{manifest_path}: corrupted target manifest (expected an "
-            f"object, got {type(manifest).__name__})")
+    manifest = read_json_object(manifest_path, TargetError,
+                                "target manifest")
     found = manifest.get("format_version")
     if found != TARGET_FORMAT_VERSION:
         raise TargetError(
@@ -181,8 +175,9 @@ class TargetBackend:
       bytes.
     * :meth:`load` digest-verifies that directory and returns a
       :class:`TargetProgram` whose :meth:`~TargetProgram.predict`
-      reproduces the reference engine's predictions for the exported
-      scheme (pinned per registered backend by ``tests/targets``).
+      reproduces :class:`repro.engine.PipelineRunner`'s predictions for
+      the exported scheme (pinned per registered backend by
+      ``tests/targets``).
     """
 
     #: Canonical registry name (``"pynn-netlist"``, ...).
@@ -198,10 +193,6 @@ class TargetBackend:
     def load(self, path: PathLike) -> TargetProgram:
         """Digest-verify an export of this backend and make it runnable."""
         raise NotImplementedError
-
-    def execute(self, path: PathLike, images) -> np.ndarray:
-        """Convenience: :meth:`load` then predict one batch."""
-        return self.load(path).predict(images)
 
     # -- shared export plumbing ----------------------------------------
     def _resolve_scheme(self, artifact, scheme: Optional[str]) -> str:
@@ -245,7 +236,7 @@ class TargetBackend:
 # ---------------------------------------------------------------------------
 
 #: Every export target, by canonical name; the builtin backends
-#: (``repro.targets.engine``/``pynn``/``tile``) register and alias
+#: (``repro.targets.pynn``/``tile``) register and alias
 #: themselves when :mod:`repro.targets` imports them.
 TARGETS = Registry("export target")
 
@@ -290,7 +281,3 @@ def load_target(path: PathLike) -> TargetProgram:
     backend = create_target(manifest["target"])
     return backend.load(path)
 
-
-def execute_target(path: PathLike, images) -> np.ndarray:
-    """One-shot: :func:`load_target` then predict one batch."""
-    return load_target(path).predict(images)

@@ -17,14 +17,14 @@ from the netlist parameters alone.  The linear algebra (conv / matmul /
 value pooling) is deliberately *shared* with the engine
 (:func:`repro.engine.executor.affine` over reconstructed
 :class:`~repro.cat.convert.LayerSpec` records): the conformance contract
-is bitwise equality with the reference engine, and a private reimplementation
-of the BLAS dispatch would be a worse copy of the same arithmetic.
+is bitwise equality with the engine's PipelineRunner, and a private
+reimplementation of the BLAS dispatch would be a worse copy of the same
+arithmetic.
 ``tests/targets`` holds every registered scheme to that contract.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -37,6 +37,7 @@ from ..engine import executor
 from ..engine.executor import FIRE_TOL
 from ..events import NO_SPIKE
 from ..tensor import im2col
+from ..util import read_json_object
 from .base import (PathLike, TargetBackend, TargetError, TargetProgram,
                    canonical_json, load_target_manifest, register_target,
                    register_target_alias)
@@ -550,7 +551,8 @@ class PyNNNetlistTarget(TargetBackend):
 
     def load(self, path: PathLike) -> PyNNProgram:
         manifest = load_target_manifest(path, expected_target=self.name)
-        netlist = json.loads((Path(path) / NETLIST_FILE).read_text())
+        netlist = read_json_object(Path(path) / NETLIST_FILE, TargetError,
+                                   "netlist")
         found = netlist.get("netlist_version")
         if found != NETLIST_VERSION:
             raise TargetError(

@@ -16,7 +16,6 @@ of :class:`~repro.hw.tilesim.TiledCycleModel` for single images.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -25,6 +24,7 @@ import numpy as np
 
 from ..engine import executor
 from ..serve.artifact import SNN_FILE
+from ..util import read_json_object
 from .base import (PathLike, TargetBackend, TargetError, TargetProgram,
                    canonical_json, load_target_manifest, register_target,
                    register_target_alias)
@@ -137,7 +137,8 @@ class TileConfigTarget(TargetBackend):
         from ..nn.serialization import SerializationError, load_converted
 
         manifest = load_target_manifest(path, expected_target=self.name)
-        config = json.loads((Path(path) / TILE_CONFIG_FILE).read_text())
+        config = read_json_object(Path(path) / TILE_CONFIG_FILE,
+                                  TargetError, "tile config")
         found = config.get("tile_config_version")
         if found != TILE_CONFIG_VERSION:
             raise TargetError(

@@ -7,13 +7,20 @@ shape of message — the offending name, a closest-match suggestion when
 one is plausible, and the full list of valid names — so a typo'd
 scheme, stage or config field is a one-glance fix instead of a
 documentation hunt.
+
+:func:`read_json_object` is the one reader of every JSON file the
+package loads (bundle, target and shard manifests, alias tables,
+netlists, tile configs, JSON configs), so a hostile file fails the same
+way everywhere: with the caller's error type, naming the file.
 """
 
 from __future__ import annotations
 
 import difflib
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence)
+import json
+from pathlib import Path
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Type)
 
 
 def closest_match(name: str, candidates: Iterable[str]) -> str | None:
@@ -46,6 +53,33 @@ def unknown_name_message(kind: str, name: str, candidates: Sequence[str],
             f"{alias} -> {alias_map[alias]}" for alias in sorted(alias_map))
     return (f"unknown {kind} {name!r};{did_you_mean(name, pool)}"
             f" available: {listing}")
+
+
+def read_json_object(path, error: Type[Exception],
+                     what: str) -> Dict[str, Any]:
+    """The JSON object stored at ``path``, or ``error`` naming the file.
+
+    Reads the bytes, decodes them as UTF-8, parses them and requires an
+    object at the top level.  An unreadable file, bytes that are not
+    UTF-8, malformed JSON, nesting too deep to parse and any other
+    top-level value all raise ``error`` with a message that starts
+    with the path and names the file as ``what``.
+    """
+    path = Path(path)
+    try:
+        content = path.read_bytes()
+    except OSError as exc:
+        raise error(f"{path}: cannot read {what} ({exc})") from None
+    try:
+        data = json.loads(content.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers UnicodeDecodeError and JSONDecodeError
+        raise error(f"{path}: corrupted {what}, not valid JSON "
+                    f"({type(exc).__name__}: {exc})") from None
+    if not isinstance(data, dict):
+        raise error(f"{path}: corrupted {what} (expected a JSON object, "
+                    f"got {type(data).__name__})")
+    return data
 
 
 class Registry:

@@ -6,12 +6,9 @@ import pytest
 from repro.analysis import (
     ConversionResult,
     ascii_bars,
-    crossover_bits,
     format_series,
     format_table,
-    geometric_speedup,
     latency_timesteps,
-    monotonically_improves,
     paper,
     paper_vs_measured,
 )
@@ -35,24 +32,6 @@ class TestLatency:
         assert latency_timesteps(16, 80, early_firing=True) == 680
         assert latency_timesteps(16, 48) == 816
         assert latency_timesteps(16, 24) == 408
-
-
-class TestHelpers:
-    def test_monotone(self):
-        assert monotonically_improves([1, 2, 2, 3])
-        assert not monotonically_improves([1, 3, 2])
-        assert monotonically_improves([1.0, 0.999], tolerance=0.01)
-
-    def test_crossover(self):
-        a = {4: 0.5, 5: 0.7, 6: 0.8}
-        b = {4: 0.6, 5: 0.65, 6: 0.75}
-        assert crossover_bits(a, b) == 5
-
-    def test_no_crossover(self):
-        assert crossover_bits({4: 0.1}, {4: 0.9}) is None
-
-    def test_speedup(self):
-        assert geometric_speedup(200.0, 100.0) == 2.0
 
 
 class TestReporting:

@@ -125,6 +125,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="duplicates"):
             config_from_dict({"stages": ["train", "train"]})
 
+    def test_removed_export_stage_and_artifact_fields_are_rejected(self):
+        # repro build is the one bundle writer; the restore stage only
+        # reads artifact.path
+        with pytest.raises(ConfigError,
+                           match="unknown pipeline stage 'export'"):
+            config_from_dict({"stages": ["train", "convert", "export"]})
+        # path is the section's one field: any other is unknown
+        with pytest.raises(ConfigError,
+                           match="unknown field 'name' in artifact;"
+                                 ".* valid fields: path$"):
+            config_from_dict({"artifact": {"name": "x"}})
+
     def test_section_must_be_a_table(self):
         with pytest.raises(ConfigError, match="train must be a "
                                               "table/object"):
@@ -173,6 +185,17 @@ class TestFileLoading:
         assert cfg.stages == ("train", "convert", "quantize", "simulate",
                               "hardware")
 
+    def test_cat_demo_config_trains_converts_and_evaluates(self):
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[2]
+        cfg = config_from_file(root / "examples" / "configs"
+                               / "cat-demo.json")
+        assert cfg.stages == ("train", "convert")
+        assert (cfg.model.arch, cfg.train.window, cfg.train.tau,
+                cfg.train.epochs) == ("vgg7", 12, 2.0, 10)
+        assert cfg.convert.evaluate and cfg.train.verbose
+
     @needs_toml
     def test_bundled_toml_example_loads(self):
         from pathlib import Path
@@ -194,6 +217,27 @@ class TestFileLoading:
         broken.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             config_from_file(broken)
+
+    @pytest.mark.parametrize("content", [b'{"name": "\xff\xfe"}',
+                                         b"[" * 100_000, b"[1]"],
+                             ids=["non-utf8", "deep", "list"])
+    def test_hostile_json_names_the_file(self, tmp_path, content):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError,
+                           match=r"hostile\.json: corrupted config file"):
+            config_from_file(path)
+
+    @needs_toml
+    @pytest.mark.parametrize("content", [b'name = "\xff\xfe"\n',
+                                         b"a = " + b"[" * 100_000],
+                             ids=["non-utf8", "deep"])
+    def test_hostile_toml_names_the_file(self, tmp_path, content):
+        path = tmp_path / "hostile.toml"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError,
+                           match=r"hostile\.toml is not valid TOML"):
+            config_from_file(path)
 
 
 class TestShardDatasetConfig:

@@ -181,35 +181,23 @@ class TestQuantizeConfigPlumbs:
 
 
 class TestArtifactStages:
-    def _config(self, tmp_path, **overrides):
-        from repro.api.config import ArtifactConfig
-
-        return micro_config(
-            stages=("train", "convert", "quantize", "export"),
-            artifact=ArtifactConfig(path=str(tmp_path / "bundle")),
-            **overrides)
-
-    def test_export_requires_path(self, tiny_dataset):
-        config = micro_config(stages=("train", "convert", "export"))
-        ctx = PipelineContext(config=config, dataset=tiny_dataset)
-        get_stage("train", config).run(ctx)
-        get_stage("convert", config).run(ctx)
-        with pytest.raises(PipelineError, match="artifact.path"):
-            get_stage("export", config).run(ctx)
-
     def test_export_then_restore_round_trips_the_snn(self, tmp_path,
                                                      tiny_dataset):
-        config = self._config(tmp_path)
+        """A bundle exported by ``ModelArtifact.build`` (what ``repro
+        build`` runs) restores to the same network."""
+        from repro.api.config import ArtifactConfig
+        from repro.serve import ModelArtifact
+
+        config = micro_config(stages=("train", "convert", "quantize"))
         ctx = PipelineContext(config=config, dataset=tiny_dataset)
-        for name in config.stages:
-            get_stage(name, config).run(ctx)
-        assert ctx.metrics["export"]["path"] == str(tmp_path / "bundle")
-        assert ctx.metrics["export"]["files"] == ["model.npz", "plans.npz",
-                                                  "snn.npz"]
+        artifact = ModelArtifact.build(config, tmp_path / "bundle",
+                                       context=ctx)
+        assert sorted(artifact.manifest["files"]) == [
+            "model.npz", "plans.npz", "snn.npz"]
 
         restore_config = micro_config(
             stages=("restore", "simulate"),
-            artifact=ctx.config.artifact)
+            artifact=ArtifactConfig(path=str(tmp_path / "bundle")))
         ctx2 = PipelineContext(config=restore_config, dataset=tiny_dataset)
         get_stage("restore", restore_config).run(ctx2)
         assert ctx2.metrics["restore"]["quantization"] == \

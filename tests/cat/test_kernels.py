@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cat import NO_SPIKE, Base2Kernel, ExpKernel, equivalent_base2_tau
+from repro.cat import NO_SPIKE, Base2Kernel, ExpKernel
 
 
 class TestBase2Kernel:
@@ -97,7 +97,7 @@ class TestBaseEquivalence:
     def test_equivalent_tau_identity(self):
         """2^(-t/tau') == e^(-t/tau) with tau' = tau / log2(e)."""
         tau_e = 20.0
-        tau_2 = equivalent_base2_tau(tau_e)
+        tau_2 = tau_e / math.log2(math.e)
         exp_k = ExpKernel(tau=tau_e)
         b2_k = Base2Kernel(tau=tau_2)
         ts = np.linspace(0, 80, 30)

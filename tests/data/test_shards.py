@@ -99,6 +99,15 @@ class TestIntegrity:
         with pytest.raises(ShardError, match="not valid JSON"):
             open_shards(shard_dir)
 
+    @pytest.mark.parametrize("content", [b"[1]", b"\xff",
+                                         b"[" * 100_000],
+                             ids=["list", "non-utf8", "deep"])
+    def test_hostile_manifest_names_the_file(self, shard_dir, content):
+        (shard_dir / MANIFEST_NAME).write_bytes(content)
+        with pytest.raises(ShardError,
+                           match=rf"{MANIFEST_NAME}: corrupted shard "):
+            open_shards(shard_dir)
+
     def test_wrong_format_version(self, shard_dir):
         manifest = json.loads((shard_dir / MANIFEST_NAME).read_text())
         manifest["format_version"] = SHARD_FORMAT_VERSION + 1

@@ -133,23 +133,14 @@ class TestDerivedOps:
         with pytest.raises(ValueError, match="outside"):
             EventStream(np.array([0]), np.array([5]), (2, 2), WINDOW)
 
-    def test_select_time_and_groups(self):
+    def test_time_groups(self):
         times = np.array([[3, NO_SPIKE, 0], [3, 1, NO_SPIKE]])
         stream = EventStream.from_dense(times, WINDOW)
-        assert list(stream.select_time(1, 3)) == [(1, 4), (3, 0), (3, 3)]
         groups = [(t, b - a) for t, a, b in stream.time_groups()]
         assert groups == [(0, 1), (1, 1), (3, 2)]
 
 
 class TestBatchAndShapeOps:
-    def test_batch_slice_matches_dense_slicing(self):
-        rng = np.random.default_rng(3)
-        times = rng.integers(-1, WINDOW + 1, size=(6, 2, 3, 3))
-        stream = EventStream.from_dense(times, WINDOW)
-        part = stream.batch_slice(2, 5)
-        assert part.shape == (3, 2, 3, 3)
-        assert np.array_equal(part.to_dense(), times[2:5])
-
     def test_reshape_keeps_flat_indices(self):
         rng = np.random.default_rng(4)
         times = rng.integers(-1, WINDOW + 1, size=(2, 3, 4))

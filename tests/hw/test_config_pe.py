@@ -5,8 +5,6 @@ import pytest
 
 from repro.hw import (
     HwConfig,
-    LinearPE,
-    LogPE,
     baseline_config,
     cat_only_config,
     decoder_cost,
@@ -55,29 +53,19 @@ class TestConfig:
 
 
 class TestFunctionalPEs:
-    def test_linear_pe_accuracy(self, rng):
-        pe = LinearPE(kernel_value_bits=12, weight_bits=10)
-        kv = rng.random(100)
-        w = rng.standard_normal(100) * 0.5
-        got = pe.process(kv, w)
-        assert np.allclose(got, kv * w, atol=0.02)
-
-    def test_linear_pe_quantisation_error_shrinks_with_width(self, rng):
-        kv = rng.random(500)
-        w = rng.standard_normal(500) * 0.5
-        err_narrow = np.abs(LinearPE(kernel_value_bits=6, weight_bits=6)
-                            .process(kv, w) - kv * w).max()
-        err_wide = np.abs(LinearPE(kernel_value_bits=14, weight_bits=12)
-                          .process(kv, w) - kv * w).max()
-        assert err_wide < err_narrow
-
     def test_log_pe_matches_reference(self):
-        pe = LogPE(frac_bits=2, precision_bits=24)
+        """The log PE's datapath (Eq. 17: log-domain add, LUT, shift) is
+        :class:`repro.quant.LogDomainPE`; it reproduces the float
+        product of the same operands."""
+        from repro.quant import LogDomainPE
+
+        pe = LogDomainPE(frac_bits=2, precision_bits=24)
         x_log2 = -np.arange(0, 25) / 4.0
         w_log2 = -np.arange(0, 15) / 2.0
         xs, ws = np.meshgrid(x_log2, w_log2)
         sign = np.ones_like(xs, dtype=np.int64)
-        got = pe.process(xs, ws, sign)
+        got = pe.to_float(pe.multiply(pe.encode_log2(xs), pe.encode_log2(ws),
+                                      sign))
         want = 2.0 ** (xs + ws)
         assert np.allclose(got, want, rtol=2e-3)
 

@@ -70,6 +70,22 @@ class TestSaveLoadRoundtrip:
         np.testing.assert_array_equal(legacy.predict(x).predictions,
                                       dense.predictions)
 
+    def test_recorded_engine_export_still_loads_and_serves(
+            self, tmp_path, micro_bundle, converted_micro, tiny_dataset):
+        # bundles exported while an ``engine`` target existed record it
+        artifact = ModelArtifact.save(tmp_path / "b", converted_micro,
+                                      name="m", scheme="ttfs-closed-form",
+                                      input_shape=(3, 8, 8))
+        artifact.record_export("engine", scheme="ttfs-closed-form",
+                               format_version=1)
+        loaded = ModelArtifact.load(artifact.path)
+        assert loaded.summary()["targets"] == ["engine"]
+        x = tiny_dataset.test_x[:12]
+        np.testing.assert_array_equal(
+            InferenceSession(loaded, warmup=False).predict(x).predictions,
+            InferenceSession(micro_bundle, warmup=False).predict(x)
+            .predictions)
+
 
 class TestIntegrityChecks:
     def test_missing_directory(self, tmp_path):

@@ -154,3 +154,16 @@ class TestResolve:
 
 def _entries(registry, name="micro"):
     return sorted(p.name for p in (registry.root / name).iterdir())
+
+
+class TestHostileAliasTable:
+    @pytest.mark.parametrize("content", [b"[1, 2]", b"5", b"\xff\xfe"],
+                             ids=["list", "number", "non-utf8"])
+    def test_bad_alias_table_names_the_file(self, registry, content):
+        alias_path = registry.root / "micro" / "aliases.json"
+        alias_path.write_bytes(content)
+        with pytest.raises(ArtifactError,
+                           match=r"aliases\.json: corrupted alias table"):
+            registry.aliases("micro")
+        with pytest.raises(ArtifactError, match=r"aliases\.json"):
+            registry.resolve("micro")

@@ -71,19 +71,6 @@ class TestPredictParity:
 
 
 class TestPredictStream:
-    def test_stream_coalesces_to_max_batch(self, micro_bundle,
-                                           tiny_dataset):
-        session = InferenceSession(micro_bundle, max_batch=8, warmup=False)
-        x = tiny_dataset.test_x[:20]
-        results = list(session.predict_stream(iter(x)))
-        assert len(results) == 20
-        # 20 images at max_batch=8 -> dispatches of 8, 8, 4
-        assert session.num_dispatches == 3
-        assert [r.batch_size for r in results] == [8] * 16 + [4] * 4
-        np.testing.assert_array_equal(
-            np.concatenate([r.predictions for r in results]),
-            session.predict(x).predictions)
-
     def test_overrides_resolve_aliases_and_reject_typos(self, micro_bundle):
         assert InferenceSession(micro_bundle, scheme="ttfs",
                                 warmup=False).scheme_name == \

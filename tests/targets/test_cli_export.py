@@ -11,8 +11,9 @@ from repro.serve import ModelArtifact
 def test_list_targets(capsys):
     assert main(["export", "--list-targets"]) == 0
     out = capsys.readouterr().out
-    for name in ("engine", "pynn-netlist/pynn", "tile-config/tile"):
+    for name in ("pynn-netlist/pynn", "tile-config/tile"):
         assert name in out
+    assert "engine" not in out
 
 
 def test_info_lists_export_targets(capsys):
@@ -39,7 +40,8 @@ def test_unknown_target_suggests(tmp_path, micro_bundle, capsys):
 
 def test_missing_artifact_is_clean_error(tmp_path, capsys):
     assert main(["export", "--artifact", str(tmp_path / "nowhere"),
-                 "--target", "engine", "--out", str(tmp_path / "e")]) == 2
+                 "--target", "pynn-netlist",
+                 "--out", str(tmp_path / "e")]) == 2
     assert "error" in capsys.readouterr().err
 
 

@@ -1,8 +1,9 @@
-"""Every registered backend must reproduce the reference engine.
+"""Every registered backend must reproduce the engine's predictions.
 
 The contract under test is exact: for each (backend, scheme) pair the
-exported program's predictions equal the reference
-``PipelineRunner`` predictions element for element — no tolerance.
+exported program's predictions equal the ``PipelineRunner``
+predictions on the bundle's network element for element — no
+tolerance.
 """
 
 from __future__ import annotations
@@ -94,4 +95,4 @@ def test_tile_program_cycle_report(tmp_path, micro_bundle,
                           scheme="fixed-point")
     report = load_target(out).cycle_report(conformance_images[0])
     assert report.total_cycles > 0
-    assert report.cycles_by_layer()
+    assert report.tiles

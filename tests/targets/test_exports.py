@@ -46,11 +46,40 @@ def test_missing_payload_file_is_reported(tmp_path, micro_bundle):
 
 
 def test_unknown_format_version_is_rejected(tmp_path, micro_bundle):
-    out = export_artifact(micro_bundle, "engine", tmp_path / "e")
+    out = export_artifact(micro_bundle, "tile-config", tmp_path / "e")
     manifest = json.loads((out / "target.json").read_text())
     manifest["format_version"] = TARGET_FORMAT_VERSION + 1
     (out / "target.json").write_text(canonical_json(manifest))
     with pytest.raises(TargetError, match="format version mismatch"):
+        load_target(out)
+
+
+@pytest.mark.parametrize("content", [b"\xff", b"[" * 100_000, b"[1]"],
+                         ids=["non-utf8", "deep", "list"])
+def test_hostile_target_manifest_names_the_file(tmp_path, micro_bundle,
+                                                content):
+    out = export_artifact(micro_bundle, "pynn-netlist", tmp_path / "e")
+    (out / "target.json").write_bytes(content)
+    with pytest.raises(TargetError,
+                       match=r"target\.json: corrupted target manifest"):
+        load_target(out)
+
+
+@pytest.mark.parametrize("target,payload,what", [
+    ("pynn-netlist", "netlist.json", "netlist"),
+    ("tile-config", "tile_config.json", "tile config")])
+def test_hostile_payload_names_the_file(tmp_path, micro_bundle, target,
+                                        payload, what):
+    """A payload whose digest was forged to match still fails cleanly."""
+    from repro.serve.artifact import file_digest
+
+    out = export_artifact(micro_bundle, target, tmp_path / "e")
+    (out / payload).write_bytes(b"\xff")
+    manifest = json.loads((out / "target.json").read_text())
+    manifest["files"][payload] = file_digest(out / payload)
+    (out / "target.json").write_text(canonical_json(manifest))
+    with pytest.raises(TargetError,
+                       match=rf"{payload}: corrupted {what}, not valid"):
         load_target(out)
 
 
@@ -59,7 +88,7 @@ def test_wrong_backend_load_is_rejected(tmp_path, micro_bundle):
 
     out = export_artifact(micro_bundle, "pynn-netlist", tmp_path / "e")
     with pytest.raises(TargetError, match="'pynn-netlist' export"):
-        create_target("engine").load(out)
+        create_target("tile-config").load(out)
 
 
 def test_not_an_export_directory(tmp_path):

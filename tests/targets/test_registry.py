@@ -12,13 +12,16 @@ from repro.targets import (TargetBackend, available_targets, create_target,
 
 
 def test_builtin_targets_listed():
-    assert available_targets() == ["engine", "pynn-netlist", "tile-config"]
+    assert available_targets() == ["pynn-netlist", "tile-config"]
+    # a bundle runs as it is through the engine; no export repackages it
+    for gone in ("engine", "reference"):
+        with pytest.raises(KeyError, match="unknown export target"):
+            resolve_target_name(gone)
 
 
 def test_aliases_resolve():
     assert resolve_target_name("pynn") == "pynn-netlist"
     assert resolve_target_name("tile") == "tile-config"
-    assert resolve_target_name("reference") == "engine"
     # canonical names resolve to themselves
     for name in available_targets():
         assert resolve_target_name(name) == name
@@ -71,7 +74,7 @@ def test_program_predict_is_abstract(tmp_path, micro_bundle):
     from repro.targets import export_artifact, load_target_manifest
     from repro.targets.base import TargetProgram
 
-    out = export_artifact(micro_bundle, "engine", tmp_path / "e")
+    out = export_artifact(micro_bundle, "tile-config", tmp_path / "e")
     program = TargetProgram(load_target_manifest(out))
     assert program.max_batch == 8
     assert program.input_shape == (3, 8, 8)

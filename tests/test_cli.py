@@ -1,8 +1,18 @@
 """CLI smoke tests (direct main() invocation, stdout captured)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+
+
+def run_config(tmp_path, capsys, config) -> str:
+    """``repro run`` over ``config`` written to a JSON file; its stdout."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path)]) == 0
+    return capsys.readouterr().out
 
 
 class TestCommands:
@@ -27,28 +37,55 @@ class TestCommands:
         for preset in available_presets():
             assert preset in out
 
-    def test_fig2(self, capsys):
-        assert main(["fig2", "--window", "12", "--tau", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "ttfs=0.0000" in out
+    def test_fig2(self, capsys, tmp_path):
+        out = run_config(tmp_path, capsys, {
+            "stages": ["fig2"], "analysis": {"window": 12, "tau": 2}})
+        assert "fig2      : window=12, tau=2\n" in out
+        assert "max_error.ttfs=0, max_error.clip=0.290" in out
+        assert "max_error.relu=0.290" in out
+        # the figure's curves, 13 samples each
+        assert "curve.x.0=0, curve.x.1=0.1," in out
+        assert "curve.x.12=1.2\n" in out
+        assert "curve.ttfs.12=0\n" in out
 
     def test_fig6(self, capsys):
-        assert main(["fig6"]) == 0
+        assert main(["run", "--preset", "paper-artefacts"]) == 0
         out = capsys.readouterr().out
-        assert "step I" in out and "paper" in out
+        for key, value in (("area_saving_cat", "0.12179"),
+                           ("power_saving_cat", "0.146374"),
+                           ("area_saving_log", "0.082151"),
+                           ("power_saving_log", "0.0876641")):
+            assert f"{key}={value}" in out
+        assert "normalised.area.Base=1, normalised.area.I=0.87821" in out
 
     def test_table4(self, capsys):
-        assert main(["table4"]) == 0
+        assert main(["run", "--preset", "paper-artefacts"]) == 0
         out = capsys.readouterr().out
-        assert "tiny-imagenet" in out and "SNN fps" in out
+        assert "table4    : area_mm2=0.93249\n" in out
+        for i, workload in enumerate(("cifar10", "cifar100",
+                                      "tiny-imagenet")):
+            assert f"rows.{i}.workload={workload}, rows.{i}.snn_fps=" in out
+        assert "rows.0.snn_fps=244.8, rows.0.snn_uj_per_image=522.8" in out
+        assert "rows.2.snn_uj_per_image=1193.3, rows.2.tpu_fps=51" in out
 
-    def test_latency_default_is_table2(self, capsys):
-        assert main(["latency", "--window", "24"]) == 0
-        assert "408 timesteps" in capsys.readouterr().out
+    def test_latency_default_is_table2(self, capsys, tmp_path):
+        out = run_config(tmp_path, capsys, {
+            "stages": ["latency"], "analysis": {"window": 24}})
+        assert "layers=16, window=24, early_firing=False, " \
+               "timesteps=408\n" in out
 
-    def test_latency_early_firing(self, capsys):
-        assert main(["latency", "--window", "80", "--early-firing"]) == 0
-        assert "680 timesteps" in capsys.readouterr().out
+    def test_latency_early_firing(self, capsys, tmp_path):
+        out = run_config(tmp_path, capsys, {
+            "stages": ["latency"],
+            "analysis": {"window": 80, "early_firing": True}})
+        assert "early_firing=True, timesteps=680\n" in out
+
+    @pytest.mark.parametrize("command", ["fig2", "fig6", "table4",
+                                         "latency", "train"])
+    def test_artefact_wrappers_are_gone(self, command):
+        # repro run --preset paper-artefacts / a config replaces them
+        with pytest.raises(SystemExit):
+            main([command])
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -60,12 +97,23 @@ class TestCommands:
 
 
 class TestTrainCommand:
-    def test_train_micro(self, capsys):
-        code = main(["train", "--dataset", "mini-cifar10", "--epochs", "2",
-                     "--window", "8", "--tau", "2"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "ANN" in out and "SNN" in out and "latency" in out
+    def test_train_micro(self, capsys, tmp_path):
+        """The CAT demo: train, convert, and evaluate both networks."""
+        out = run_config(tmp_path, capsys, {
+            "stages": ["train", "convert"],
+            "model": {"arch": "vgg7"},
+            "train": {"window": 8, "tau": 2, "epochs": 2},
+            "convert": {"evaluate": True}})
+        (line,) = [l for l in out.splitlines() if l.startswith("convert")]
+        metrics = dict(pair.split("=") for pair in
+                       line.split(":", 1)[1].strip().split(", "))
+        ann, snn = float(metrics["ann_accuracy"]), float(
+            metrics["snn_accuracy"])
+        assert 0.0 <= ann <= 1.0 and 0.0 <= snn <= 1.0
+        assert float(metrics["conversion_loss_pp"]) == \
+            pytest.approx(100 * (snn - ann), abs=1e-3)
+        # vgg7: five weight layers plus the input window, T=8 each
+        assert metrics["latency_timesteps"] == str(6 * 8)
 
 
 class TestSimulateCommand:
@@ -84,13 +132,16 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "unknown backend 'auto'; available: dense, event" in err
 
-    def test_bad_training_params_are_usage_errors(self, capsys):
+    def test_bad_training_params_are_usage_errors(self, capsys, tmp_path):
         assert main(["simulate", "--epochs", "0"]) == 2
         assert "train.epochs" in capsys.readouterr().err
         assert main(["evaluate", "--epochs", "0"]) == 2
         assert "train.epochs" in capsys.readouterr().err
-        assert main(["train", "--epochs", "0"]) == 2
-        assert "train.epochs" in capsys.readouterr().err
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"stages": ["train", "convert"], '
+                       '"train": {"epochs": 0}}')
+        assert main(["run", str(bad)]) == 2
+        assert "train.epochs must be >= 1" in capsys.readouterr().err
 
     def test_simulate_routes_through_the_experiment_driver(self, capsys,
                                                            tmp_path):
@@ -186,6 +237,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "repro run: error:" in err
         assert err.strip() != "repro run: error: 20"  # not a bare errno
+
+    @pytest.mark.parametrize("content", [b'{"name": "\xff\xfe"}',
+                                         b"[" * 100_000],
+                             ids=["non-utf8", "deep"])
+    def test_hostile_config_is_a_usage_error(self, capsys, tmp_path,
+                                             content):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(content)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro run: error: ")
+        assert "hostile.json: corrupted config file" in err
 
     def test_paper_artefacts_config_runs_instantly(self, capsys):
         from repro.api.config import _toml_module

@@ -61,14 +61,18 @@ class TestMatmulProperties:
 
 
 class TestCLIVgg9:
-    def test_train_with_vgg9(self, capsys):
+    def test_train_with_vgg9(self, capsys, tmp_path):
+        import json
+
         from repro.cli import main
 
-        code = main(["train", "--dataset", "mini-cifar10", "--model",
-                     "vgg9", "--epochs", "1", "--window", "8",
-                     "--tau", "2"])
-        assert code == 0
-        assert "SNN" in capsys.readouterr().out
+        config = tmp_path / "vgg9.json"
+        config.write_text(json.dumps({
+            "stages": ["train", "convert"], "model": {"arch": "vgg9"},
+            "train": {"window": 8, "tau": 2, "epochs": 1},
+            "convert": {"evaluate": True}}))
+        assert main(["run", str(config)]) == 0
+        assert "snn_accuracy=" in capsys.readouterr().out
 
 
 class TestVGGInputEncodingInteraction:

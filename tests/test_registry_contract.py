@@ -103,7 +103,6 @@ def test_fresh_import_registers_every_builtin():
         [["fixed-point", "rate", "ttfs-closed-form", "ttfs-early"],
          {"fp": "fixed-point", "ttfs": "ttfs-closed-form",
           "ttfs-timestep": "ttfs-closed-form"}],
-        [["engine", "pynn-netlist", "tile-config"],
-         {"pynn": "pynn-netlist", "reference": "engine",
-          "tile": "tile-config"}],
+        [["pynn-netlist", "tile-config"],
+         {"pynn": "pynn-netlist", "tile": "tile-config"}],
     ]
