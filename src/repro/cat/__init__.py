@@ -20,7 +20,7 @@ from .convert import (
     extract_layer_specs,
     fuse_conv_bn,
 )
-from .errors import ActivationCurves, activation_curves, layerwise_conversion_error
+from .errors import ActivationCurves, activation_curves
 
 __all__ = [
     "NO_SPIKE",
@@ -49,5 +49,4 @@ __all__ = [
     "fuse_conv_bn",
     "ActivationCurves",
     "activation_curves",
-    "layerwise_conversion_error",
 ]

@@ -57,10 +57,3 @@ def activation_curves(
     }
     errors = {kind: np.abs(a - snn_repr) for kind, a in acts.items()}
     return ActivationCurves(inputs=xs, activations=acts, errors=errors)
-
-
-def layerwise_conversion_error(ann_acts, snn_acts) -> list[float]:
-    """Mean absolute error between matched ANN / SNN layer activations."""
-    if len(ann_acts) != len(snn_acts):
-        raise ValueError("activation lists must align layer-by-layer")
-    return [float(np.mean(np.abs(a - s))) for a, s in zip(ann_acts, snn_acts)]

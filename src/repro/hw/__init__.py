@@ -30,7 +30,7 @@ from .geometry import (
     vgg16_geometry,
 )
 from .processor import LayerPerf, ProcessorReport, SNNProcessor
-from .mapping import LayerMapping, MappingReport, map_network, max_resident_synapses
+from .mapping import LayerMapping, MappingReport, map_network
 from .tilesim import (
     FixedPointInference,
     FixedPointReport,
@@ -81,7 +81,6 @@ __all__ = [
     "LayerMapping",
     "MappingReport",
     "map_network",
-    "max_resident_synapses",
     "FixedPointInference",
     "FixedPointReport",
     "TiledCycleModel",

@@ -51,11 +51,7 @@ class DramTraffic:
 class DMAEngine:
     """Bandwidth/cycle model of the DMA engine."""
 
-    bus_bits_per_cycle: int = 64
     pj_per_bit: float = 4.0
-
-    def transfer_cycles(self, bits: int) -> int:
-        return (bits + self.bus_bits_per_cycle - 1) // self.bus_bits_per_cycle
 
     def energy_uj(self, bits: int) -> float:
         return bits * self.pj_per_bit * 1e-6

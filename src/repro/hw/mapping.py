@@ -102,10 +102,3 @@ def map_network(geometry: NetworkGeometry,
             buffer_utilization=tile_bits / capacity_bits,
         ))
     return report
-
-
-def max_resident_synapses(cfg: HwConfig | None = None) -> int:
-    """Largest tile working set (in synapses) the buffers can hold."""
-    cfg = cfg or HwConfig()
-    capacity_bits = cfg.total_weight_buffer_kb * 1024 * 8
-    return int(capacity_bits // cfg.weight_bits)

@@ -9,7 +9,6 @@ from .logquant import (
 )
 from .lut import FracLUT, LogDomainPE, required_frac_bits
 from .snn_quant import QuantizationReport, accuracy_vs_bits, quantize_snn
-from .fixed import from_fixed, quantization_snr_db, saturate, to_fixed
 from .qat import (
     disable_weight_qat,
     enable_weight_qat,
@@ -33,8 +32,4 @@ __all__ = [
     "enable_weight_qat",
     "fake_quantize",
     "qat_finetune",
-    "from_fixed",
-    "quantization_snr_db",
-    "saturate",
-    "to_fixed",
 ]

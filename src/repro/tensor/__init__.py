@@ -6,7 +6,6 @@ from .conv import (
     col2im,
     conv2d,
     conv_gemm,
-    global_avg_pool2d,
     im2col,
     max_pool2d,
 )
@@ -14,8 +13,6 @@ from .functional import (
     accuracy,
     cross_entropy,
     log_softmax,
-    mse_loss,
-    one_hot,
     softmax,
 )
 
@@ -30,13 +27,10 @@ __all__ = [
     "conv_gemm",
     "max_pool2d",
     "avg_pool2d",
-    "global_avg_pool2d",
     "im2col",
     "col2im",
     "accuracy",
     "cross_entropy",
     "log_softmax",
     "softmax",
-    "mse_loss",
-    "one_hot",
 ]

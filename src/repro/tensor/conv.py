@@ -297,8 +297,3 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
         return (gx,)
 
     return Tensor._make(np.ascontiguousarray(out_data), (x,), backward)
-
-
-def global_avg_pool2d(x: Tensor) -> Tensor:
-    """Average over all spatial positions -> (N, C)."""
-    return x.mean(axis=(2, 3))

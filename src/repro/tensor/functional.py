@@ -28,19 +28,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     return -picked.mean()
 
 
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    diff = pred - target
-    return (diff * diff).mean()
-
-
 def accuracy(logits: Tensor | np.ndarray, targets: np.ndarray) -> float:
     """Top-1 accuracy in [0, 1]."""
     data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     pred = data.argmax(axis=-1)
     return float((pred == np.asarray(targets)).mean())
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((len(labels), num_classes), dtype=np.float32)
-    out[np.arange(len(labels)), labels] = 1.0
-    return out

@@ -113,10 +113,6 @@ class Tensor:
         """Return the underlying array (no copy)."""
         return self.data
 
-    def detach(self) -> "Tensor":
-        """Return a view of this tensor cut out of the autograd graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -314,14 +310,6 @@ class Tensor:
 
         return Tensor._make(self.data * mask, (self,), backward)
 
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(g):
-            return (g * (1.0 - out_data * out_data),)
-
-        return Tensor._make(out_data, (self,), backward)
-
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
 
@@ -439,19 +427,6 @@ class Tensor:
             full = np.zeros(src_shape, dtype=g.dtype)
             np.add.at(full, idx, g)
             return (full,)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def pad2d(self, pad: int) -> "Tensor":
-        """Zero-pad the last two (spatial) dimensions by ``pad`` on each side."""
-        if pad == 0:
-            return self
-        width = [(0, 0)] * (self.data.ndim - 2) + [(pad, pad), (pad, pad)]
-        out_data = np.pad(self.data, width)
-
-        def backward(g):
-            sl = [slice(None)] * (g.ndim - 2) + [slice(pad, -pad), slice(pad, -pad)]
-            return (g[tuple(sl)],)
 
         return Tensor._make(out_data, (self,), backward)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cat import activation_curves, layerwise_conversion_error
+from repro.cat import activation_curves
 
 
 class TestFig2Curves:
@@ -46,18 +46,3 @@ class TestFig2Curves:
         fine = activation_curves(window=48, tau=8.0)
         coarse = activation_curves(window=12, tau=2.0)
         assert coarse.mean_error("clip") > fine.mean_error("clip")
-
-
-class TestLayerwise:
-    def test_zero_for_identical(self):
-        acts = [np.ones((2, 3)), np.zeros(4)]
-        assert layerwise_conversion_error(acts, acts) == [0.0, 0.0]
-
-    def test_mismatched_lengths_raise(self):
-        with pytest.raises(ValueError):
-            layerwise_conversion_error([np.ones(2)], [])
-
-    def test_values(self):
-        a = [np.array([1.0, 2.0])]
-        b = [np.array([1.5, 2.5])]
-        assert layerwise_conversion_error(a, b) == [0.5]

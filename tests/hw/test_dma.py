@@ -34,12 +34,6 @@ class TestTraffic:
 
 
 class TestDMAEngine:
-    def test_transfer_cycles_round_up(self):
-        dma = DMAEngine(bus_bits_per_cycle=64)
-        assert dma.transfer_cycles(64) == 1
-        assert dma.transfer_cycles(65) == 2
-        assert dma.transfer_cycles(0) == 0
-
     def test_energy(self):
         dma = DMAEngine(pj_per_bit=4.0)
         assert dma.energy_uj(250_000) == pytest.approx(1.0)

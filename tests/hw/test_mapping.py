@@ -1,9 +1,7 @@
 """Weight-buffer mapping checks."""
 
-import pytest
-
 from repro.hw import HwConfig, vgg16_geometry
-from repro.hw.mapping import map_network, max_resident_synapses
+from repro.hw.mapping import map_network
 
 
 class TestVGG16Mapping:
@@ -46,12 +44,3 @@ class TestOversizedLayers:
         report = map_network(vgg16_geometry(32, 10), cfg)
         big = max(report.layers, key=lambda m: m.passes)
         assert big.passes >= 8
-
-    def test_wider_weights_reduce_capacity(self):
-        narrow = max_resident_synapses(HwConfig(weight_bits=5))
-        wide = max_resident_synapses(HwConfig(weight_bits=8))
-        assert narrow > wide
-
-    def test_max_resident_synapses_value(self):
-        # 4 * 90KB * 8 bits / 5 bits per weight
-        assert max_resident_synapses() == 4 * 90 * 1024 * 8 // 5

@@ -1,4 +1,4 @@
-"""Graph mechanics: accumulation, reuse, detach, topological ordering."""
+"""Graph mechanics: accumulation, reuse, topological ordering."""
 
 import numpy as np
 import pytest
@@ -49,13 +49,6 @@ class TestBackwardMechanics:
             y = y + 0.001
         y.sum().backward()
         assert np.isclose(x.grad[0], 1.0)
-
-    def test_detach_cuts_graph(self):
-        x = Tensor([3.0], requires_grad=True)
-        y = (x * 2.0).detach()
-        assert not y.requires_grad
-        z = (y * 5.0)
-        assert not z.requires_grad
 
     def test_no_grad_tracking_without_requires(self):
         x = Tensor([1.0])

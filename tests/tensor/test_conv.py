@@ -10,7 +10,6 @@ from repro.tensor import (
     col2im,
     conv2d,
     conv_gemm,
-    global_avg_pool2d,
     im2col,
     max_pool2d,
 )
@@ -341,9 +340,3 @@ class TestPooling:
         out = max_pool2d(Tensor(x), 3, 3).data
         assert out.shape == (1, 2, 2, 2)
         assert np.isclose(out[0, 0, 0, 0], x[0, 0, :3, :3].max())
-
-    def test_global_avg_pool(self, rng):
-        x = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
-        out = global_avg_pool2d(Tensor(x)).data
-        assert out.shape == (2, 3)
-        assert np.allclose(out, x.mean(axis=(2, 3)), atol=1e-6)

@@ -20,10 +20,6 @@ class TestTensorEdges:
         out = where(cond, Tensor([1.0, 1.0]), Tensor([2.0, 2.0]))
         assert np.allclose(out.data, [1.0, 2.0])
 
-    def test_pad2d_zero_is_identity(self):
-        x = Tensor(np.ones((1, 1, 2, 2)))
-        assert x.pad2d(0) is x
-
     def test_var_with_axis(self, rng):
         data = rng.standard_normal((3, 5)).astype(np.float32)
         got = Tensor(data).var(axis=0).data
